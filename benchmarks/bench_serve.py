@@ -11,7 +11,9 @@ that contract over the real HTTP path:
   compile);
 * **warm** — N requests with *distinct* image payloads (distinct
   fingerprints, so each one executes — no dedup shortcut), reported as
-  p50/p99 and requests/second.  The ``/metrics`` deltas across the warm
+  p50/p99 and requests/second, plus the server's median
+  ``serve.hist.prepare_ms`` (~0 once a prepared graph is reused) and
+  ``serve.hist.exec_ms``.  The ``/metrics`` deltas across the warm
   phase must show **zero cache misses** (no compiler invocations) and
   **zero arena allocations** — violations fail the run;
 * **dedup** — a concurrent burst of identical requests; the dedup rate
@@ -126,6 +128,10 @@ def _run(client, size, warm_requests, burst, pipeline):
         latencies.append((time.perf_counter() - t0) * 1e3)
 
     after = client.metrics()
+    # the serve step histograms cover every request so far; the warm
+    # phase is most of them, so their medians are warm figures
+    warm_prepare_p50 = _metric(after, "hist", "serve.hist.prepare_ms.p50")
+    warm_exec_p50 = _metric(after, "hist", "serve.hist.exec_ms.p50")
     warm_misses = (_metric(after, "cache", "cache.ir.misses")
                    - _metric(before, "cache", "cache.ir.misses"))
     warm_allocs = (_metric(after, "pool", "pool.allocs")
@@ -170,6 +176,8 @@ def _run(client, size, warm_requests, burst, pipeline):
         "warm_p50_ms": round(warm_p50, 3),
         "warm_p99_ms": round(warm_p99, 3),
         "warm_rps": round(1.0 / warm_mean_s, 1),
+        "warm_prepare_p50_ms": round(warm_prepare_p50, 3),
+        "warm_exec_p50_ms": round(warm_exec_p50, 3),
         "cold_over_warm_p50": round(cold_ms / warm_p50, 2),
         "warm_cache_misses": warm_misses,
         "warm_pool_allocs": warm_allocs,
@@ -190,6 +198,8 @@ def report(headline) -> None:
           f"   ({headline['cold_over_warm_p50']:.1f}x faster than cold)")
     print(f"warm p99             {headline['warm_p99_ms']:>9.2f} ms")
     print(f"warm throughput      {headline['warm_rps']:>9.1f} req/s")
+    print(f"warm prepare p50     {headline['warm_prepare_p50_ms']:>9.3f} ms")
+    print(f"warm exec p50        {headline['warm_exec_p50_ms']:>9.3f} ms")
     print(f"warm cache misses    {headline['warm_cache_misses']:>9.0f}")
     print(f"warm arena allocs    {headline['warm_pool_allocs']:>9.0f}")
     print(f"dedup                {headline['dedup_hits']:.0f}/"

@@ -4,11 +4,12 @@ HIPAcc later grew a CPU target; this backend shows how the paper's
 device-specific machinery retargets to one.  The GPU's two-layered
 parallelism maps onto OpenMP worksharing, and the nine-region boundary
 specialisation becomes *loop splitting*: the interior runs as a tight
-``#pragma omp parallel for`` nest with zero conditionals, while eight
-border strips run with exactly the side-limited index adjustments the GPU
-variants use.  Filter masks become ``static const`` arrays (the CPU's
-constant memory is its L1), and the same ``bh_*`` helpers are emitted as
-``static inline`` functions.
+``#pragma omp parallel for`` nest with zero conditionals (serial below
+:data:`PARALLEL_MIN_PIXELS`), while eight border strips run with exactly
+the side-limited index adjustments the GPU variants use.  Filter masks
+become ``static const`` arrays (the CPU's constant memory is its L1),
+and the same ``bh_*`` helpers are emitted as ``static inline``
+functions.
 """
 
 from __future__ import annotations
@@ -33,6 +34,12 @@ from .base import (
 )
 from .border import BorderRegion, Side, classify_regions
 from .emitter import BH_HELPERS
+
+#: smallest interior region, in pixels, that runs as an OpenMP parallel
+#: loop.  Below it the loop stays serial: waking a sleeping thread team
+#: costs more than a small stencil's whole interior (docs/NATIVE.md has
+#: the measured crossover).
+PARALLEL_MIN_PIXELS = 65536
 
 
 def cpu_common_preamble() -> List[str]:
@@ -258,7 +265,8 @@ class CpuBackend:
             f"    // region {label}: "
             f"x in {x0}..{x1}-1, y in {y0}..{y1}-1",
         ]
-        if region.is_interior:
+        if region.is_interior and \
+                (x1 - x0) * (y1 - y0) >= PARALLEL_MIN_PIXELS:
             lines.append("    #pragma omp parallel for schedule(static)")
         lines += [
             f"    for (int gid_y = IS_offset_y + {y0}; "

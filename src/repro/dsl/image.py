@@ -48,6 +48,8 @@ class Image:
             raise DslError(
                 f"data shape {array.shape} does not match image "
                 f"{self.height}x{self.width}")
+        if not self._data.flags.writeable:
+            self.clear()        # storage was released: materialise it
         self._data[:, :self.width] = array.astype(self.pixel_type.np_dtype,
                                                   copy=False)
         return self
@@ -55,6 +57,22 @@ class Image:
     def get_data(self) -> np.ndarray:
         """Copy pixel data out (the C++ ``getData()``)."""
         return self._data[:, :self.width].copy()
+
+    def clear(self) -> "Image":
+        """Replace the storage with fresh zeroed pixels at the unpadded
+        stride — the state of a newly constructed image."""
+        self._stride = self.width
+        self._data = np.zeros((self.height, self._stride),
+                              dtype=self.pixel_type.np_dtype)
+        return self
+
+    def release_data(self) -> None:
+        """Drop the pixel storage.  The image keeps reading as zeros (a
+        read-only view that occupies no memory) until :meth:`set_data`
+        or :meth:`clear` materialises storage again."""
+        self._data = np.broadcast_to(
+            np.zeros((), dtype=self.pixel_type.np_dtype),
+            (self.height, self._stride))
 
     # -- internal views used by the simulator ------------------------------
 

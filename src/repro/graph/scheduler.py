@@ -18,6 +18,12 @@ The scheduler turns the declarative graph into launches:
   after its last consumer finishes, so peak footprint follows the live
   set of the schedule instead of the edge count.
 
+:func:`execute_graph` is :func:`prepare_graph` (fusion, compilation,
+the native module, every per-run invariant) followed by one
+:meth:`PreparedGraph.run` (buffers and launches); a host that runs one
+structure over many frames keeps the :class:`PreparedGraph` and only
+runs it again.
+
 Every phase runs under a :mod:`repro.obs` span (``graph.validate`` →
 ``graph.fuse`` → ``graph.lint`` → ``graph.compile`` → ``graph.schedule``
 with one ``graph.node`` per launch); work submitted to the thread pools
@@ -30,9 +36,10 @@ breakdowns, cache hits, launch counts and pool/fusion stats that the
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from typing import Dict, Optional, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..cache.store import CompilationCache, get_default_cache
 from ..errors import CodegenError, GraphError
@@ -135,7 +142,7 @@ def execute_graph(graph: PipelineGraph,
                   register_metrics: bool = True,
                   lint: bool = True) -> GraphReport:
     """Validate, fuse, compile and run *graph*; returns the
-    :class:`GraphReport`.
+    :class:`GraphReport`.  Exactly ``prepare_graph(...).run(...)``.
 
     *workers* sizes both the compile pool and the execution pool
     (``1`` forces fully serial operation — useful as the determinism
@@ -166,17 +173,31 @@ def execute_graph(graph: PipelineGraph,
     pipeline) can skip re-deriving identical diagnostics on the hot
     path; interactive and CI runs keep it on.
     """
+    with span("graph.run", graph=graph.name, engine=engine) as run_span:
+        report = prepare_graph(graph, cache=cache, workers=workers,
+                               fuse=fuse, engine=engine,
+                               lint=lint).run(
+            pool=pool, register_metrics=register_metrics)
+        run_span.attrs["launches"] = report.launches
+        run_span.attrs["engine_used"] = report.engine_used
+    return report
+
+
+def prepare_graph(graph: PipelineGraph,
+                  cache: Union[None, bool, CompilationCache] = None,
+                  workers: Optional[int] = None,
+                  fuse: bool = True,
+                  engine: str = "sim",
+                  lint: bool = True) -> "PreparedGraph":
+    """Everything :func:`execute_graph` does before the first launch:
+    validate → fuse → lint → compile every node → compile the native
+    module, plus the static per-node report fields (footprints
+    included) and the buffer accounting.  The returned
+    :class:`PreparedGraph` runs any number of times; arguments mean
+    what they mean for :func:`execute_graph`."""
     if engine not in ENGINES:
         raise GraphError(
             f"unknown engine {engine!r}; expected one of {ENGINES}")
-    with span("graph.run", graph=graph.name, engine=engine) as run_span:
-        return _execute_graph(graph, cache, workers, fuse, pool,
-                              engine, run_span, register_metrics, lint)
-
-
-def _execute_graph(graph, cache, workers, fuse, pool, engine,
-                   run_span, register_metrics=True,
-                   lint=True) -> GraphReport:
     with span("graph.validate", graph=graph.name):
         graph.validate()
 
@@ -217,25 +238,22 @@ def _execute_graph(graph, cache, workers, fuse, pool, engine,
             # transparent fallback: no C compiler, or nothing eligible
             fallback_reason = str(exc)
 
-    # -- buffer lifetimes ---------------------------------------------------
-    # the native tier replaces the runtime arena with its compile-time
-    # slab; only the simulator engine pools buffers at runtime
-    arena = _resolve_pool(pool) if native_module is None else None
-    pool_stats = arena.stats if arena is not None else PoolStats()
-    if register_metrics:
-        registry = get_registry()
-        registry.register_source("pool", pool_stats.metrics)
-        if store is not None:
-            registry.register_source("cache", store.stats.metrics)
+    # -- buffer accounting --------------------------------------------------
     intermediates = graph.intermediates()
-    for img in intermediates:
-        # naive baseline: every intermediate individually allocated at
-        # its launch padding, all simultaneously live
-        producer = graph.producer_of(img)
-        align = padding_alignment(producer.compiled.device)
+
+    def padded_bytes(img) -> int:
+        # an intermediate individually allocated at its launch padding
+        align = padding_alignment(graph.producer_of(img).compiled.device)
         stride = BufferPool.padded_stride(img.width, align)
-        pool_stats.naive_bytes += (img.height * stride
-                                   * img.pixel_type.np_dtype.itemsize)
+        return img.height * stride * img.pixel_type.np_dtype.itemsize
+
+    # naive baseline: every intermediate individually allocated, all
+    # simultaneously live
+    naive_bytes = sum(padded_bytes(img) for img in intermediates)
+    slab = None
+    native_nodes = set()
+    # images a run writes in host memory; the native slab holds the rest
+    host_written = [n.output for n in order]
     if native_module is not None:
         # slab high-water plus any intermediates left external (touched
         # by simulator-fallback nodes — individually materialised)
@@ -243,145 +261,236 @@ def _execute_graph(graph, cache, workers, fuse, pool, engine,
         ext_inter = [img for img in intermediates
                      if plan.bindings.get(id(img)) is None
                      or plan.bindings[id(img)].kind == "ext"]
-        ext_bytes = 0
-        for img in ext_inter:
-            producer = graph.producer_of(img)
-            align = padding_alignment(producer.compiled.device)
-            stride = BufferPool.padded_stride(img.width, align)
-            ext_bytes += (img.height * stride
-                          * img.pixel_type.np_dtype.itemsize)
-        pool_stats.peak_bytes = plan.slab_bytes + ext_bytes
-        pool_stats.allocs = plan.slab_allocs + len(ext_inter)
-        pool_stats.reuses = plan.slab_reuses
-    elif arena is None:
-        # unpooled execution allocates every intermediate for the whole
-        # run — peak IS the naive footprint
-        pool_stats.peak_bytes = pool_stats.naive_bytes
-    remaining_consumers: Dict[int, int] = {
-        id(img): len(graph.consumers_of(img)) for img in intermediates}
-    # the decrement below is a read-modify-write racing across branch
-    # workers; without the lock two consumers finishing at once could
-    # both read the same count and either double-release a buffer or
-    # leak it (current_bytes drift)
-    consumers_lock = threading.Lock()
+        slab = (plan.slab_bytes + sum(padded_bytes(img)
+                                      for img in ext_inter),
+                plan.slab_allocs + len(ext_inter), plan.slab_reuses)
+        native_nodes = {lw.node.name for lw in plan.lowerings
+                        if lw.native}
+        host_written = [img for img in host_written
+                        if plan.bindings.get(id(img)) is None
+                        or plan.bindings[id(img)].kind == "ext"]
 
-    node_wall_ms: Dict[str, float] = {}
-    node_engine: Dict[str, str] = {}
-    native_timing: Dict[str, object] = {}
-
-    def run_node(node: GraphNode) -> None:
-        with span("graph.node", node=node.name) as sp:
-            if arena is not None and any(node.output is img
-                                         for img in intermediates):
-                arena.bind(node.output,
-                           padding_alignment(node.compiled.device))
-            node.report = node.compiled.execute()
-            if arena is not None:
-                for img in node.inputs:
-                    key = id(img)
-                    with consumers_lock:
-                        left = remaining_consumers.get(key)
-                        if left is None:
-                            continue
-                        left -= 1
-                        remaining_consumers[key] = left
-                    if left == 0:
-                        arena.release(img)
-        node_wall_ms[node.name] = sp.duration_ms
-
-    def run_native_schedule() -> None:
-        """Walk the interleaved plan serially: compiled segments via
-        ctypes, ineligible nodes through the simulator."""
-        plan = native_module.plan
-        executor = native_module.executor()
-        for kind, idx in plan.schedule:
-            if kind == "native":
-                seg = plan.segments[idx]
-                with span("native.exec", segment=idx,
-                          nodes=len(seg)) as seg_sp:
-                    executor.run_segment(idx)
-                # the segment is one call; attribute its wall clock
-                # evenly and keep the *modelled* device time per node
-                per_node = seg_sp.duration_ms / len(seg)
-                for node_idx in seg:
-                    node = order[node_idx]
-                    node_wall_ms[node.name] = per_node
-                    node_engine[node.name] = "native"
-                    native_timing[node.name] = \
-                        node.compiled.estimate_time()
-            else:
-                node = order[idx]
-                with span("graph.node", node=node.name) as nsp:
-                    node.report = node.compiled.execute()
-                node_wall_ms[node.name] = nsp.duration_ms
-                node_engine[node.name] = "sim"
-
-    with span("graph.schedule", workers=workers or 0) as sp:
-        try:
-            if native_module is not None:
-                sp.attrs["engine"] = "native"
-                run_native_schedule()
-            # match compile_graph's short-circuit: a single-node graph
-            # (or workers=1) runs serially — no executor for one launch
-            elif workers == 1 or len(order) <= 1:
-                for node in order:
-                    run_node(node)
-            else:
-                _run_parallel(graph, order, run_node, workers)
-        finally:
-            if arena is not None:
-                # normal completion has already released everything via
-                # consumer counting; after a mid-schedule fault this is
-                # what returns current_bytes to zero
-                arena.release_all()
-    exec_wall_ms = sp.duration_ms
-    observe("graph.hist.execute_ms", exec_wall_ms)
-    for wall in node_wall_ms.values():
-        observe("graph.hist.node_wall_ms", wall)
-
-    node_reports = []
+    # -- static report fields -----------------------------------------------
+    static = {}
     for n in order:
-        eng = node_engine.get(n.name, "sim")
-        if eng == "native":
-            # native segments run for real; device time stays the
-            # *modelled* estimate so reports are engine-comparable
-            timing = native_timing[n.name]
-            time_ms = timing.total_ms
-        else:
-            timing = n.report.timing
-            time_ms = n.report.time_ms
-        node_reports.append(NodeReport(
+        static[n.name] = dict(
             name=n.name,
             kernel=n.label(),
             device=n.compiled.device.name,
             backend=n.compiled.options.backend,
             block=tuple(n.compiled.options.block),
-            time_ms=time_ms,
-            timing=timing,
             compile_ms=n.compiled.compile_ms,
             from_cache=n.compiled.from_cache,
             fused_from=n.fused_from,
-            wall_ms=node_wall_ms.get(n.name, 0.0),
             stage_timings=dict(n.compiled.stage_timings),
-            engine=eng,
             footprint=_node_footprint(n),
-        ))
-    report = GraphReport(
-        graph_name=graph.name,
-        nodes=node_reports,
-        fusion=fusion_stats,
-        pool=pool_stats,
-        compile_wall_ms=compile_wall_ms,
-        execute_wall_ms=exec_wall_ms,
-        cache_stats=(store.stats.as_dict() if store is not None else None),
-        diagnostics=graph_diags,
-        engine=engine,
-        engine_used="native" if native_module is not None else "sim",
-        fallback_reason=fallback_reason,
-    )
-    run_span.attrs["launches"] = report.launches
-    run_span.attrs["engine_used"] = report.engine_used
-    return report
+        )
+    # native segments run for real; device time stays the *modelled*
+    # estimate so reports are engine-comparable
+    native_timing = {n.name: n.compiled.estimate_time()
+                     for n in order if n.name in native_nodes}
+
+    return PreparedGraph(
+        graph=graph, order=order, store=store, workers=workers,
+        engine=engine, fusion=fusion_stats, diagnostics=graph_diags,
+        compile_wall_ms=compile_wall_ms, native_module=native_module,
+        fallback_reason=fallback_reason, intermediates=intermediates,
+        host_written=host_written, naive_bytes=naive_bytes, slab=slab,
+        static=static, native_timing=native_timing)
+
+
+@dataclasses.dataclass
+class PreparedGraph:
+    """A graph after :func:`prepare_graph`: compiled kernels, the loaded
+    native module and every per-run invariant, ready to :meth:`run`.
+
+    Between runs the caller may :meth:`~repro.dsl.image.Image.set_data`
+    new pixels into the graph's input images; every image a run writes
+    in host memory gets fresh zeroed storage at the start of each run
+    after the first, so nothing one run wrote can leak into the next.  One instance runs
+    on one thread at a time — the images are its own.
+    """
+
+    graph: PipelineGraph
+    order: List[GraphNode]
+    store: Optional[CompilationCache]
+    workers: Optional[int]
+    engine: str
+    fusion: FusionStats
+    diagnostics: List
+    compile_wall_ms: float
+    native_module: Optional[object]
+    fallback_reason: Optional[str]
+    intermediates: List
+    host_written: List
+    naive_bytes: int
+    #: native tier only: (peak bytes, allocs, reuses) of the slab plus
+    #: the intermediates left external
+    slab: Optional[Tuple[int, int, int]]
+    #: node name -> the NodeReport fields that do not change per run
+    static: Dict[str, Dict]
+    #: native node name -> modelled TimingBreakdown
+    native_timing: Dict[str, object]
+    runs: int = 0
+
+    def release(self) -> None:
+        """Drop every image's pixel storage and per-launch report, so an
+        idle instance holds plans and compiled code but no frame-sized
+        buffers.  The next run (after ``set_data`` on its inputs)
+        materialises storage again."""
+        for node in self.order:
+            node.report = None
+            node.output.release_data()
+        for img in self.graph.inputs():
+            img.release_data()
+
+    def run(self, pool: Union[bool, BufferPool] = True,
+            register_metrics: bool = True) -> GraphReport:
+        """Execute the schedule once; *pool* and *register_metrics* as
+        for :func:`execute_graph`."""
+        graph, order = self.graph, self.order
+        native_module = self.native_module
+        intermediates = self.intermediates
+
+        # -- buffer lifetimes -----------------------------------------------
+        # the native tier replaces the runtime arena with its
+        # compile-time slab; only the simulator engine pools buffers at
+        # runtime
+        arena = _resolve_pool(pool) if native_module is None else None
+        if self.runs:
+            # fresh-Image semantics: a node may cover only part of its
+            # output, and the rest must read as zeros, not as the pixels
+            # the previous run left there (the arena zero-fills what it
+            # binds; slab-resident images are never touched here)
+            pooled = ({id(img) for img in intermediates}
+                      if arena is not None else set())
+            for img in self.host_written:
+                if id(img) not in pooled:
+                    img.clear()
+        compile_wall_ms = 0.0 if self.runs else self.compile_wall_ms
+        self.runs += 1
+        pool_stats = arena.stats if arena is not None else PoolStats()
+        if register_metrics:
+            registry = get_registry()
+            registry.register_source("pool", pool_stats.metrics)
+            if self.store is not None:
+                registry.register_source("cache", self.store.stats.metrics)
+        pool_stats.naive_bytes += self.naive_bytes
+        if self.slab is not None:
+            (pool_stats.peak_bytes, pool_stats.allocs,
+             pool_stats.reuses) = self.slab
+        elif arena is None:
+            # unpooled execution allocates every intermediate for the
+            # whole run — peak IS the naive footprint
+            pool_stats.peak_bytes = pool_stats.naive_bytes
+        remaining_consumers: Dict[int, int] = {
+            id(img): len(graph.consumers_of(img)) for img in intermediates}
+        # the decrement below is a read-modify-write racing across
+        # branch workers; without the lock two consumers finishing at
+        # once could both read the same count and either double-release
+        # a buffer or leak it (current_bytes drift)
+        consumers_lock = threading.Lock()
+
+        node_wall_ms: Dict[str, float] = {}
+        node_engine: Dict[str, str] = {}
+
+        def run_node(node: GraphNode) -> None:
+            with span("graph.node", node=node.name) as sp:
+                if arena is not None and any(node.output is img
+                                             for img in intermediates):
+                    arena.bind(node.output,
+                               padding_alignment(node.compiled.device))
+                node.report = node.compiled.execute()
+                if arena is not None:
+                    for img in node.inputs:
+                        key = id(img)
+                        with consumers_lock:
+                            left = remaining_consumers.get(key)
+                            if left is None:
+                                continue
+                            left -= 1
+                            remaining_consumers[key] = left
+                        if left == 0:
+                            arena.release(img)
+            node_wall_ms[node.name] = sp.duration_ms
+
+        def run_native_schedule() -> None:
+            """Walk the interleaved plan serially: compiled segments
+            via ctypes, ineligible nodes through the simulator."""
+            plan = native_module.plan
+            executor = native_module.executor()
+            for kind, idx in plan.schedule:
+                if kind == "native":
+                    seg = plan.segments[idx]
+                    with span("native.exec", segment=idx,
+                              nodes=len(seg)) as seg_sp:
+                        executor.run_segment(idx)
+                    # the segment is one call; attribute its wall clock
+                    # evenly across its nodes
+                    per_node = seg_sp.duration_ms / len(seg)
+                    for node_idx in seg:
+                        node = order[node_idx]
+                        node_wall_ms[node.name] = per_node
+                        node_engine[node.name] = "native"
+                else:
+                    node = order[idx]
+                    with span("graph.node", node=node.name) as nsp:
+                        node.report = node.compiled.execute()
+                    node_wall_ms[node.name] = nsp.duration_ms
+                    node_engine[node.name] = "sim"
+
+        with span("graph.schedule", workers=self.workers or 0) as sp:
+            try:
+                if native_module is not None:
+                    sp.attrs["engine"] = "native"
+                    run_native_schedule()
+                # match compile_graph's short-circuit: a single-node
+                # graph (or workers=1) runs serially — no executor for
+                # one launch
+                elif self.workers == 1 or len(order) <= 1:
+                    for node in order:
+                        run_node(node)
+                else:
+                    _run_parallel(graph, order, run_node, self.workers)
+            finally:
+                if arena is not None:
+                    # normal completion has already released everything
+                    # via consumer counting; after a mid-schedule fault
+                    # this is what returns current_bytes to zero
+                    arena.release_all()
+        exec_wall_ms = sp.duration_ms
+        observe("graph.hist.execute_ms", exec_wall_ms)
+        for wall in node_wall_ms.values():
+            observe("graph.hist.node_wall_ms", wall)
+
+        node_reports = []
+        for n in order:
+            eng = node_engine.get(n.name, "sim")
+            if eng == "native":
+                timing = self.native_timing[n.name]
+                time_ms = timing.total_ms
+            else:
+                timing = n.report.timing
+                time_ms = n.report.time_ms
+            node_reports.append(NodeReport(
+                time_ms=time_ms, timing=timing,
+                wall_ms=node_wall_ms.get(n.name, 0.0), engine=eng,
+                **self.static[n.name]))
+        store = self.store
+        return GraphReport(
+            graph_name=graph.name,
+            nodes=node_reports,
+            fusion=self.fusion,
+            pool=pool_stats,
+            compile_wall_ms=compile_wall_ms,
+            execute_wall_ms=exec_wall_ms,
+            cache_stats=(store.stats.as_dict() if store is not None
+                         else None),
+            diagnostics=self.diagnostics,
+            engine=self.engine,
+            engine_used="native" if native_module is not None else "sim",
+            fallback_reason=self.fallback_reason,
+        )
 
 
 def _run_parallel(graph: PipelineGraph, order, run_node,

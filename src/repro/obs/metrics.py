@@ -25,7 +25,8 @@ prefix                 meaning
                        compile_wall_ms, execute_wall_ms, device_ms)
 ``serve.*``            request service (requests, batched, dedup_hits,
                        queue_depth, shed, completed, errors, timeouts,
-                       cancelled, executions, drained)
+                       cancelled, executions, drained, prepared_hits,
+                       prepared_misses, prepared_evictions)
 ``native.*``           native JIT tier (compiles, artifact hits)
 ``*.hist.*``           flattened latency histograms
                        (:mod:`repro.obs.hist`): each histogram

@@ -61,6 +61,24 @@ NATIVE_SPANS = ("native.compile", "native.exec")
 #: ``fingerprint`` attr instead.
 SERVE_SPANS = ("serve.request", "serve.plan", "serve.exec")
 
+#: The ``serve.*`` counters (:class:`~repro.serve.service.ServeStats`).
+#: ``prepared_hits``/``prepared_misses`` count executions that reused an
+#: idle prepared graph or had to prepare one; ``prepared_evictions``
+#: counts idle instances dropped by the LRU bound.
+SERVE_COUNTERS = ("requests", "batched", "dedup_hits", "shed",
+                  "completed", "errors", "timeouts", "cancelled",
+                  "executions", "drained", "prepared_hits",
+                  "prepared_misses", "prepared_evictions")
+
+#: The serve tier's histograms, registered when a service starts: end to
+#: end and queueing, then one per execution step of a request group —
+#: decode → plan (structure lookup, planning on a miss) → prepare
+#: (fuse/compile/prove on a miss, pixel load on a hit) → exec → encode.
+SERVE_HISTOGRAMS = tuple(
+    f"serve.hist.{name}" for name in (
+        "request_ms", "queue_wait_ms", "batch_size", "decode_ms",
+        "plan_ms", "prepare_ms", "exec_ms", "encode_ms"))
+
 #: Span names the abstract interpreter emits (:mod:`repro.lint.absint`
 #: and :mod:`repro.lint.footprint`): ``absint.fixpoint`` wraps one
 #: fixpoint run over a kernel CFG (attrs: ``kernel``) and

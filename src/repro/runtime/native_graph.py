@@ -6,8 +6,9 @@ into a single byte slab with compile-time first-fit offsets
 (:func:`repro.graph.pool.first_fit_layout`), and one exported segment
 function per contiguous run of native nodes.  The TU compiles once with
 ``cc -O2 -fopenmp`` and executes through ctypes — OpenMP parallelises
-the interior loop nest of each kernel exactly as the single-kernel
-:mod:`repro.runtime.native` path does.
+the interior loop nest of each kernel large enough to pay for it
+(:data:`repro.backends.cpu.PARALLEL_MIN_PIXELS`), exactly as the
+single-kernel :mod:`repro.runtime.native` path does.
 
 **The simulator stays the oracle.**  A node joins the native tier only
 when its C lowering is provably byte-identical to the simulator.  The
@@ -87,8 +88,10 @@ from ..obs import span
 from .native import compiler_signature, find_c_compiler, native_workdir
 
 #: bump when the emitted TU shape or the ABI of segment entry points
-#: changes — stored entries with another format are ignored
-NATIVE_GRAPH_FORMAT = 2
+#: changes — stored entries with another format are ignored.  Any change
+#: to C emission needs this bump: graph_fingerprint hashes IR and layout,
+#: not the emitted source.
+NATIVE_GRAPH_FORMAT = 3
 
 #: slab row alignment in *elements* (64 bytes for float32 rows — the
 #: same padding the simulator's launch path would apply)

@@ -43,14 +43,16 @@ class PlanError(ProtocolError):
 
 @dataclasses.dataclass
 class Plan:
-    """An executable unit: the graph, its output image, and the
-    scheduler options the request selected."""
+    """An executable unit: the graph, its input and output images, and
+    the scheduler options the request selected."""
 
     graph: PipelineGraph
     output: Image
     engine: str
     device: str
     backend: str
+    #: the image the request's pixels were loaded into
+    source: Image
 
 
 def _f(spec: Dict[str, Any], field: str, default: float = None) -> float:
@@ -292,4 +294,4 @@ def plan_request(body: Dict[str, Any], data: np.ndarray) -> Plan:
         raise PlanError(
             f"pipeline produced {len(outputs)} outputs, expected 1")
     return Plan(graph=graph, output=outputs[0], engine=engine,
-                device=device, backend=backend)
+                device=device, backend=backend, source=src)

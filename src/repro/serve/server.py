@@ -63,6 +63,10 @@ class ServeHTTPServer(ThreadingHTTPServer):
 class _Handler(BaseHTTPRequestHandler):
     #: quiet by default: per-request access logging is the span's job
     protocol_version = "HTTP/1.1"
+    #: headers and body leave in two writes; with Nagle on, the body
+    #: waits for the client's delayed ACK of the headers (~40 ms) on
+    #: every keep-alive response
+    disable_nagle_algorithm = True
 
     @property
     def service(self) -> ServeService:

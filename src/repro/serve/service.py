@@ -24,6 +24,13 @@ allocator.  All workers share one process-wide
 single-flight locking guarantees N concurrent misses of the same kernel
 compile exactly once.
 
+Above the cache sits a bounded LRU of idle
+:class:`~repro.graph.scheduler.PreparedGraph` instances keyed by request
+*structure* (work, shape, wire dtype, engine — not pixels): a warm
+request checks one out, loads its frame, runs and checks it back in, so
+it pays for decode, its kernels and encode but never re-plans,
+re-fuses, re-compiles or re-proves (docs/SERVING.md, "Warm path").
+
 Robustness is explicit state, not best effort:
 
 * the queue is bounded — :meth:`ServeService.submit` raises
@@ -41,19 +48,26 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import json
 import threading
 import time
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from ..cache import CompilationCache
 from ..graph.pool import BufferPool
-from ..graph.scheduler import execute_graph
+from ..graph.scheduler import PreparedGraph, prepare_graph
 from ..obs import get_registry, span
 from ..obs.hist import get_histograms, observe
 from ..obs.log import log_event, new_request_id
-from .planner import plan_request
-from .protocol import (PROTOCOL_VERSION, ProtocolError, decode_image,
-                       encode_image, error_response, request_fingerprint)
+from ..obs.schema import SERVE_COUNTERS, SERVE_HISTOGRAMS
+from .planner import Plan, plan_request
+from .protocol import (PROTOCOL_VERSION, ProtocolError, _canonical_work,
+                       decode_image, encode_image, error_response,
+                       request_fingerprint)
+
+#: idle prepared graphs the service keeps, over all request structures;
+#: the least recently used one is dropped beyond it
+PREPARED_CACHE_SIZE = 32
 
 
 class ServeRejected(RuntimeError):
@@ -122,9 +136,7 @@ class ServeConfig:
 class ServeStats:
     """Thread-safe counters for the ``serve.*`` metrics namespace."""
 
-    _FIELDS = ("requests", "batched", "dedup_hits", "shed", "completed",
-               "errors", "timeouts", "cancelled", "executions",
-               "drained")
+    _FIELDS = SERVE_COUNTERS
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
@@ -139,6 +151,53 @@ class ServeStats:
         with self._lock:
             return {field: getattr(self, field)
                     for field in self._FIELDS}
+
+
+class _PreparedCache:
+    """Bounded LRU of *idle* prepared graphs, keyed by request
+    structure.  A worker checks an instance out for one request and
+    back in afterwards, so two concurrent requests of one structure
+    never share an image; a structure seen concurrently may hold
+    several idle instances, all counting against the bound."""
+
+    def __init__(self, capacity: int):
+        self.capacity = capacity
+        self._lock = threading.Lock()
+        self._idle: "collections.OrderedDict[str, List]" = \
+            collections.OrderedDict()
+        self._size = 0
+
+    def __len__(self) -> int:
+        with self._lock:
+            return self._size
+
+    def checkout(self, key: str) -> Optional[Tuple[Plan, PreparedGraph]]:
+        with self._lock:
+            idle = self._idle.get(key)
+            if not idle:
+                return None
+            entry = idle.pop()
+            if not idle:
+                del self._idle[key]
+            self._size -= 1
+            return entry
+
+    def checkin(self, key: str, entry: Tuple[Plan, PreparedGraph]) -> int:
+        """Return *entry* to the pool; returns how many least recently
+        used instances were evicted to stay within the bound."""
+        with self._lock:
+            self._idle.setdefault(key, []).append(entry)
+            self._idle.move_to_end(key)
+            self._size += 1
+            evicted = 0
+            while self._size > self.capacity:
+                oldest, idle = next(iter(self._idle.items()))
+                idle.pop(0)
+                if not idle:
+                    del self._idle[oldest]
+                self._size -= 1
+                evicted += 1
+            return evicted
 
 
 @dataclasses.dataclass
@@ -196,6 +255,7 @@ class ServeService:
         self.started_at_unix = time.time()
         self._started_monotonic = time.monotonic()
         self._engine_fp: Optional[str] = None
+        self._prepared = _PreparedCache(PREPARED_CACHE_SIZE)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -217,10 +277,12 @@ class ServeService:
         registry.register_source("serve", self.metrics)
         registry.register_source("cache", self.cache.stats.metrics)
         registry.register_source("pool", self._pool_metrics)
-        # materialise the default histogram set so the "hist" source is
-        # registered before the first snapshot, not after the first
-        # request happens to record a latency
-        get_histograms()
+        # materialise the serve histograms so the "hist" source is
+        # registered, with every serve.hist.* key, before the first
+        # snapshot rather than after the first request records one
+        hists = get_histograms()
+        for name in SERVE_HISTOGRAMS:
+            hists.get_or_create(name)
         log_event("serve.started", workers=self.config.workers,
                   engine=self.config.engine,
                   queue_limit=self.config.queue_limit)
@@ -518,6 +580,7 @@ class ServeService:
                       group=len(group))
         try:
             status, doc = self._execute(lead.body, len(group),
+                                        lead.fingerprint,
                                         lead.request_id)
         except ProtocolError as exc:
             status, doc = 400, error_response("bad_request", str(exc))
@@ -535,9 +598,24 @@ class ServeService:
         for pending in group:
             self._deliver(pending, status, doc)
 
+    def _prepared_key(self, body: Dict[str, Any], data) -> str:
+        """What makes two requests' prepared graphs interchangeable:
+        the canonical work, the image shape and wire dtype, and the
+        engine identity — never the pixels."""
+        return json.dumps(
+            [_canonical_work(body, self.config.engine), list(data.shape),
+             str(data.dtype), self.engine_fingerprint()],
+            sort_keys=True, separators=(",", ":"))
+
     def _execute(self, body: Dict[str, Any], group_size: int,
-                 lead_request_id: str = "") -> Tuple[int, Dict[str, Any]]:
+                 fingerprint: str, lead_request_id: str = ""
+                 ) -> Tuple[int, Dict[str, Any]]:
         """Plan and run one request group on this worker's warm arena.
+
+        A request whose structure ran before checks an idle prepared
+        graph out of the LRU (no planning, fusion, compilation or
+        proving), loads its pixels into the graph's source image, runs
+        it and checks it back in; a miss plans and prepares it first.
 
         ``serve.plan``/``serve.exec`` are deliberately *top-level*
         spans in the worker thread, correlated to ``serve.request`` by
@@ -546,13 +624,21 @@ class ServeService:
         execution continues, and a child outliving its parent would
         violate the trace validator's containment rule.
         """
-        fingerprint, _ = request_fingerprint(
-            body, default_engine=self.config.engine)
         with span("serve.plan", fingerprint=fingerprint[:16],
-                  group=group_size, request_id=lead_request_id):
+                  group=group_size, request_id=lead_request_id) as sp:
+            t0 = time.perf_counter()
             data = decode_image(body.get("image"))
-            plan = plan_request(body, data)
-        engine = plan.engine if body.get("engine") else self.config.engine
+            t1 = time.perf_counter()
+            key = self._prepared_key(body, data)
+            warm = self._prepared.checkout(key)
+            plan = plan_request(body, data) if warm is None else warm[0]
+            t2 = time.perf_counter()
+            sp.attrs["prepared"] = warm is not None
+        observe("serve.hist.decode_ms", (t1 - t0) * 1e3)
+        observe("serve.hist.plan_ms", (t2 - t1) * 1e3)
+        self.stats.bump("prepared_misses" if warm is None
+                        else "prepared_hits")
+        engine = body.get("engine") or self.config.engine
         arena = self._arena()
         with span("serve.exec", fingerprint=fingerprint[:16],
                   engine=engine, group=group_size,
@@ -562,19 +648,34 @@ class ServeService:
             # the per-run pool accounting, or the pool.* metrics drift
             # after every request error
             try:
-                # lint=False: the HIP3xx pass is advisory and this
-                # graph structure replays for every request of the
-                # fingerprint — re-deriving identical diagnostics is
-                # pure warm-path cost
-                report = execute_graph(plan.graph, cache=self.cache,
-                                       workers=self.config.graph_workers,
-                                       pool=arena, engine=engine,
-                                       register_metrics=False,
-                                       lint=False)
-                result = plan.output.get_data()
-                encoded = encode_image(result)
+                t0 = time.perf_counter()
+                if warm is None:
+                    # lint=False: the HIP3xx pass is advisory and
+                    # re-deriving identical diagnostics for every
+                    # structure is pure serving cost
+                    prepared = prepare_graph(
+                        plan.graph, cache=self.cache,
+                        workers=self.config.graph_workers,
+                        engine=engine, lint=False)
+                else:
+                    prepared = warm[1]
+                    plan.source.set_data(data)
+                t1 = time.perf_counter()
+                report = prepared.run(pool=arena, register_metrics=False)
+                t2 = time.perf_counter()
+                encoded = encode_image(plan.output.get_data())
+                t3 = time.perf_counter()
             finally:
                 arena.reset()
+        observe("serve.hist.prepare_ms", (t1 - t0) * 1e3)
+        observe("serve.hist.exec_ms", (t2 - t1) * 1e3)
+        observe("serve.hist.encode_ms", (t3 - t2) * 1e3)
+        # only an instance that ran cleanly goes back, and without its
+        # pixels: an idle instance must not pin frame-sized buffers
+        prepared.release()
+        evicted = self._prepared.checkin(key, (plan, prepared))
+        if evicted:
+            self.stats.bump("prepared_evictions", evicted)
         meta = {
             "fingerprint": fingerprint,
             "engine": report.engine_used,
@@ -583,6 +684,7 @@ class ServeService:
             "compile_wall_ms": round(report.compile_wall_ms, 3),
             "execute_wall_ms": round(report.execute_wall_ms, 3),
             "group_size": group_size,
+            "prepared": warm is not None,
             "protocol": PROTOCOL_VERSION,
         }
         return 200, {"status": "ok", "image": encoded, "meta": meta}

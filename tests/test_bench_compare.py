@@ -17,6 +17,7 @@ import pytest
 
 from repro.obs.compare import (
     BENCH_SCHEMA_VERSION,
+    DEFAULT_BENCHMARKS,
     compare_docs,
     metric_direction,
     run_compare,
@@ -130,6 +131,20 @@ class TestCompareDocs:
         cur = make_doc()
         del cur["headline"]["warm_p99_ms"]
         assert compare_docs(make_doc(), cur).ok
+
+
+class TestCommittedBaselines:
+    @pytest.mark.parametrize("name", DEFAULT_BENCHMARKS)
+    def test_every_default_benchmark_has_a_current_baseline(self, name):
+        # the perf sentinel compares against these without
+        # --allow-missing, so a missing or stale one fails every run
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        path = os.path.join(root, f"BENCH_{name}.json")
+        assert os.path.isfile(path), f"no committed baseline {path}"
+        with open(path) as fh:
+            doc = json.load(fh)
+        assert doc["benchmark"] == name
+        assert doc["schema_version"] == BENCH_SCHEMA_VERSION
 
 
 class TestSchemaGate:

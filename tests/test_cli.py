@@ -35,9 +35,17 @@ class TestCli:
 
     def test_codegen_cpu(self):
         code, out = run_cli("codegen", "--filter", "sobel",
-                            "--backend", "cpu", "--size", "128")
+                            "--backend", "cpu", "--size", "512")
         assert code == 0
         assert "#pragma omp parallel for" in out
+
+    def test_codegen_cpu_small_interior_is_serial(self):
+        # a 126x126 interior is below PARALLEL_MIN_PIXELS
+        code, out = run_cli("codegen", "--filter", "sobel",
+                            "--backend", "cpu", "--size", "128")
+        assert code == 0
+        assert "interior fast path" in out
+        assert "#pragma omp" not in out
 
     def test_codegen_host(self):
         code, out = run_cli("codegen", "--filter", "gaussian",
