@@ -55,6 +55,13 @@ def padding_alignment(device: DeviceSpec) -> int:
     return max(1, device.memory.coalesce_segment // 4)
 
 
+def _index_vectors(x0: int, x1: int, y0: int, y1: int) -> tuple:
+    """Pixel coordinates of the rectangle [x0, x1) x [y0, y1) as a row
+    vector ``gx`` (1xW) and a column vector ``gy`` (Hx1): they broadcast
+    to the rectangle without materialising an HxW index grid."""
+    return np.arange(x0, x1)[None, :], np.arange(y0, y1)[:, None]
+
+
 def _region_sides(options: CodegenOptions, region) -> tuple:
     """Sides the executed variant guards, mirroring
     ``KernelEmitter._regions_to_emit``."""
@@ -121,9 +128,8 @@ def simulate_launch(kernel: KernelIR,
             total_written += written
             regions_executed += 1
             continue
-        xs = np.arange(x0, x1) + is_.offset_x
-        ys = np.arange(y0, y1) + is_.offset_y
-        gx, gy = np.meshgrid(xs, ys)
+        gx, gy = _index_vectors(x0 + is_.offset_x, x1 + is_.offset_x,
+                                y0 + is_.offset_y, y1 + is_.offset_y)
         values = evaluate_body(kernel, accessors, gx, gy, side_x, side_y,
                                faults_on_oob=device.faults_on_oob)
         out[y0 + is_.offset_y:y1 + is_.offset_y,
@@ -168,9 +174,8 @@ def _execute_region_staged(kernel, accessors, is_, options, device,
                     staged[name] = TileAccessor(acc, tile, origin, window)
                 else:
                     staged[name] = acc
-            xs = np.arange(block_x0, px1) + is_.offset_x
-            ys = np.arange(block_y0, py1) + is_.offset_y
-            gx, gy = np.meshgrid(xs, ys)
+            gx, gy = _index_vectors(origin[0], px1 + is_.offset_x,
+                                    origin[1], py1 + is_.offset_y)
             values = evaluate_body(kernel, staged, gx, gy, side_x,
                                    side_y,
                                    faults_on_oob=device.faults_on_oob)

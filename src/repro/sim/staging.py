@@ -27,7 +27,7 @@ import numpy as np
 from ..backends.border import BorderRegion
 from ..dsl.accessor import Accessor
 from ..dsl.boundary import Boundary
-from .executor import sample_accessor
+from .executor import any_outside, read_pixels, sample_accessor
 
 
 def stage_tile(accessor: Accessor, block_origin: Tuple[int, int],
@@ -46,13 +46,13 @@ def stage_tile(accessor: Accessor, block_origin: Tuple[int, int],
     x0, y0 = block_origin
     tile_w = bx + wx - 1
     tile_h = by + wy - 1
-    sx = np.arange(tile_w)
-    sy = np.arange(tile_h)
-    ix, iy = np.meshgrid(x0 + sx - hx, y0 + sy - hy)
+    ix = np.arange(x0 - hx, x0 - hx + tile_w)[None, :]
+    iy = np.arange(y0 - hy, y0 - hy + tile_h)[:, None]
     # identical to the generated staging: the region's side-limited
-    # adjustment applied to the raw tile indices
-    return np.asarray(sample_accessor(accessor, ix, iy, region.side_x,
-                                      region.side_y, faults_on_oob))
+    # adjustment applied to the raw tile indices; the copy is the
+    # scratchpad, never a view of the image
+    return np.array(sample_accessor(accessor, ix, iy, region.side_x,
+                                    region.side_y, faults_on_oob))
 
 
 class TileAccessor:
@@ -85,9 +85,9 @@ class TileAccessor:
         tx = np.asarray(ix) - self._x0 + self._hx
         ty = np.asarray(iy) - self._y0 + self._hy
         th, tw = self._tile.shape
-        if np.any((tx < 0) | (tx >= tw) | (ty < 0) | (ty >= th)):
+        if any_outside(tx, ty, tw, th):
             raise IndexError(
                 "kernel read outside the staged scratchpad tile — the "
                 "declared window is smaller than the actual access "
                 "pattern")
-        return self._tile[ty, tx]
+        return read_pixels(self._tile, ty, tx)

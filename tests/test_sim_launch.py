@@ -2,23 +2,30 @@
 whole-image reference for every mode/geometry — the correctness claim
 behind the paper's nine-region optimisation."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Boundary, BorderMode, CodegenOptions
+from repro.backends.border import Side
 from repro.errors import DeviceFault, LaunchError
 from repro.frontend import parse_kernel
 from repro.frontend.parser import accessor_objects
 from repro.hwmodel import get_device
 from repro.ir import typecheck_kernel
-from repro.sim.launch import simulate_launch
+from repro.obs.trace import tracing
+from repro.sim.executor import evaluate_body, execute_pixels, sample_accessor
+from repro.sim.launch import _region_sides, simulate_launch
 from repro.sim.reference import execute_reference
 
 from .helpers import (
+    CopyKernel,
     IterationSpace,
     MaskConvolution,
+    ShiftRead,
     accessor_for,
     box_mask,
     build_image_pair,
@@ -174,3 +181,144 @@ class TestLaunchValidation:
                                  get_device("tesla"))
         assert result.occupancy.occupancy == 1.0
         assert result.grid == (1, 6)
+
+
+class TestViewReadsMatchGather:
+    """A launch hands the executor broadcast index vectors, so in-image
+    reads become slices; they must be byte-identical to the gather a full
+    index grid takes."""
+
+    ALL_MODES = MODES + [Boundary.UNDEFINED]
+    #: window offsets escaping the image on each side and at each corner
+    SHIFTS = [(-3, 0), (3, 0), (0, -3), (0, 3), (-3, -2), (3, 2),
+              (2, -3), (-1, 1)]
+
+    @staticmethod
+    def _gathered_launch(ir, accs, layout, options, width, height):
+        """simulate_launch's region loop fed full index grids."""
+        bx, by = options.block
+        expected = np.zeros((height, width), ir.pixel_type.np_dtype)
+        for region in layout.regions:
+            x0, x1 = region.bx_lo * bx, min(region.bx_hi * bx, width)
+            y0, y1 = region.by_lo * by, min(region.by_hi * by, height)
+            if x1 <= x0 or y1 <= y0:
+                continue
+            gx, gy = np.meshgrid(np.arange(x0, x1), np.arange(y0, y1))
+            expected[y0:y1, x0:x1] = execute_pixels(
+                ir, accs, gx, gy, _region_sides(options, region))
+        return expected
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("border", [BorderMode.SPECIALIZED,
+                                        BorderMode.INLINE])
+    @pytest.mark.parametrize("shift", SHIFTS)
+    def test_launch_equals_gather(self, mode, border, shift):
+        width, height = 29, 19
+        data = random_image(width, height, seed=7)
+        src, dst = build_image_pair(width, height, data=data)
+        # a plain Accessor declares no window: parse with a windowed one
+        # so the launch has a halo, then run on plain accessors
+        declared = Boundary.CONSTANT if mode == Boundary.UNDEFINED \
+            else mode
+        k = ShiftRead(IterationSpace(dst),
+                      accessor_for(src, 7, declared, 0.25), *shift)
+        ir = typecheck_kernel(parse_kernel(k))
+        accs = accessor_objects(k)
+        if mode == Boundary.UNDEFINED:
+            accs = {name: accessor_for(src) for name in accs}
+        options = CodegenOptions(backend="cuda", block=(8, 4),
+                                 border=border)
+        result = simulate_launch(ir, accs, k.iteration_space, options,
+                                 get_device("quadro"))
+        expected = self._gathered_launch(ir, accs, result.layout, options,
+                                         width, height)
+        assert dst.get_data().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    @pytest.mark.parametrize("faults", [False, True])
+    def test_every_side_combination_equals_gather(self, mode, faults):
+        """Rectangles escaping low, high or neither side of each axis,
+        under every pair of guarded sides: the vector read returns the
+        grid read's bytes, or raises what it raises."""
+        data = random_image(9, 7, seed=5)
+        src = build_image_pair(9, 7, data=data)[0]
+        acc = accessor_for(src, 3, mode, 0.25)
+        sides = [Side.NONE, Side.LO, Side.HI, Side.BOTH]
+        for x0, y0 in itertools.product((-3, 2, 6), (-2, 1, 5)):
+            xs, ys = np.arange(x0, x0 + 5), np.arange(y0, y0 + 4)
+            gx, gy = np.meshgrid(xs, ys)
+            for side_x, side_y in itertools.product(sides, sides):
+                args = (side_x, side_y, faults)
+                try:
+                    want = sample_accessor(acc, gx, gy, *args)
+                except (IndexError, DeviceFault) as exc:
+                    with pytest.raises(type(exc)):
+                        sample_accessor(acc, xs[None, :], ys[:, None],
+                                        *args)
+                    continue
+                got = sample_accessor(acc, xs[None, :], ys[:, None], *args)
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_interior_read_is_a_view(self, mode):
+        data = random_image(12, 10, seed=1)
+        src = build_image_pair(12, 10, data=data)[0]
+        acc = accessor_for(src, 3, mode, 0.25)
+        ix = np.arange(2, 9)[None, :]
+        iy = np.arange(1, 8)[:, None]
+        for sides in ((Side.NONE, Side.NONE), (Side.BOTH, Side.BOTH)):
+            got = sample_accessor(acc, ix, iy, *sides, True)
+            assert np.shares_memory(got, src.pixels)
+            np.testing.assert_array_equal(got, data[1:8, 2:9])
+
+    def test_border_read_gathers(self):
+        data = random_image(12, 10, seed=1)
+        src = build_image_pair(12, 10, data=data)[0]
+        acc = accessor_for(src, 3, Boundary.CLAMP)
+        ix = np.arange(-1, 5)[None, :]
+        iy = np.arange(0, 4)[:, None]
+        got = sample_accessor(acc, ix, iy, Side.LO, Side.NONE, False)
+        assert not np.shares_memory(got, src.pixels)
+        np.testing.assert_array_equal(got[:, 0], data[0:4, 0])
+
+    def test_permuted_vector_gathers(self):
+        # in range with run-like endpoints, but not a run
+        data = random_image(12, 10, seed=1)
+        src = build_image_pair(12, 10, data=data)[0]
+        ix = np.array([[0, 2, 1, 3]])
+        iy = np.arange(4, 7)[:, None]
+        got = sample_accessor(accessor_for(src), ix, iy, Side.NONE,
+                              Side.NONE, True)
+        np.testing.assert_array_equal(got, data[iy, ix])
+
+    def test_output_never_aliases_input(self):
+        data = random_image(12, 10, seed=2)
+        src, dst = build_image_pair(12, 10, data=data)
+        k = CopyKernel(IterationSpace(dst), accessor_for(src))
+        ir = typecheck_kernel(parse_kernel(k))
+        out = evaluate_body(ir, accessor_objects(k),
+                            np.arange(12)[None, :], np.arange(10)[:, None],
+                            Side.NONE, Side.NONE)
+        assert not np.shares_memory(out, src.pixels)
+        np.testing.assert_array_equal(out, data)
+
+    def test_evaluate_span_counts_region_pixels(self):
+        k, ir, _ = _setup(29, 19, 5, Boundary.MIRROR)
+        options = CodegenOptions(backend="cuda", block=(8, 4),
+                                 border=BorderMode.SPECIALIZED)
+        with tracing() as tracer:
+            result = simulate_launch(ir, accessor_objects(k),
+                                     k.iteration_space, options,
+                                     get_device("tesla"))
+        pixels = [sp.attrs["pixels"] for sp in tracer.spans()
+                  if sp.name == "sim.evaluate"]
+        bx, by = options.block
+        sizes = []
+        for r in result.layout.regions:
+            w = min(r.bx_hi * bx, 29) - r.bx_lo * bx
+            h = min(r.by_hi * by, 19) - r.by_lo * by
+            if w > 0 and h > 0:
+                sizes.append(w * h)
+        assert pixels == sizes
+        assert sum(pixels) == result.pixels_written == 29 * 19
