@@ -1,33 +1,17 @@
-"""Native execution of CPU-backend kernels via the system C compiler.
+"""C toolchain probes for the native tier.
 
-The strongest validation this reproduction can offer: the CPU backend's
-generated C is *actually compiled* (``cc -O2 -fopenmp``) into a shared
-object and run through ``ctypes`` on real silicon, then compared against
-the Python simulator.  Since the CPU backend shares the boundary helpers,
-region decomposition and expression printer with the CUDA/OpenCL
-backends, agreement here validates the whole lowering chain end to end —
-the generated GPU code differs only in the index/launch scaffolding.
+:mod:`repro.runtime.native_graph` compiles the CPU backend's generated C
+with the system C compiler and runs it through ``ctypes``; this module
+finds that compiler, identifies its version for content-addressed
+artifacts, and names the scratch directory compiled objects live in.
 """
 
 from __future__ import annotations
 
-import ctypes
-import dataclasses
-import hashlib
 import os
 import subprocess
 import tempfile
 from typing import Dict, Optional
-
-import numpy as np
-
-from ..backends.base import CodegenOptions, KernelSource, generate
-from ..dsl.accessor import Accessor
-from ..dsl.kernel import Kernel
-from ..errors import CodegenError
-from ..frontend.parser import accessor_objects, parse_kernel
-from ..ir.nodes import KernelIR
-from ..ir.typecheck import typecheck_kernel
 
 _CC_CANDIDATES = ("cc", "gcc", "clang")
 
@@ -90,93 +74,3 @@ def native_workdir(subdir: str = "hipacc_py_native") -> str:
     path = os.path.join(base, subdir)
     os.makedirs(path, exist_ok=True)
     return path
-
-
-@dataclasses.dataclass
-class NativeKernel:
-    """A compiled-to-machine-code CPU kernel, callable on NumPy arrays."""
-
-    ir: KernelIR
-    source: KernelSource
-    accessors: Dict[str, Accessor]
-    library_path: str
-    _lib: ctypes.CDLL
-
-    def __call__(self, width: int, height: int,
-                 offset_x: int = 0, offset_y: int = 0,
-                 **params) -> np.ndarray:
-        """Run the native kernel over a width x height iteration space,
-        reading the bound accessor images; returns the output array."""
-        fn = getattr(self._lib, self.source.entry)
-        out = np.zeros((height + offset_y, width + offset_x),
-                       dtype=self.ir.pixel_type.np_dtype)
-        argv = [out.ctypes.data_as(ctypes.c_void_p),
-                ctypes.c_int(out.shape[1])]
-        keepalive = [out]
-        for acc_info in self.ir.accessors:
-            acc = self.accessors[acc_info.name]
-            img = np.ascontiguousarray(
-                acc.image.pixels.astype(acc.pixel_type.np_dtype))
-            keepalive.append(img)
-            argv += [img.ctypes.data_as(ctypes.c_void_p),
-                     ctypes.c_int(acc.image.width),
-                     ctypes.c_int(acc.image.height),
-                     ctypes.c_int(img.shape[1])]
-        argv += [ctypes.c_int(width), ctypes.c_int(height),
-                 ctypes.c_int(offset_x), ctypes.c_int(offset_y)]
-        for p in self.ir.params:
-            if not p.baked:
-                value = params.get(p.name, p.value)
-                argv.append(ctypes.c_float(float(value))
-                            if p.type.is_float
-                            else ctypes.c_int(int(value)))
-        fn(*argv)
-        return out[offset_y:, offset_x:]
-
-
-def compile_native(kernel: Kernel, width: Optional[int] = None,
-                   height: Optional[int] = None,
-                   cc: Optional[str] = None,
-                   openmp: bool = True) -> NativeKernel:
-    """Generate CPU C code for *kernel*, compile it with the system C
-    compiler, and load it via ctypes.
-
-    Raises :class:`CodegenError` when no compiler is available (callers
-    — and the test suite — should skip in that case).
-    """
-    cc = cc or find_c_compiler()
-    if cc is None:
-        raise CodegenError("no C compiler found on PATH")
-    ir = typecheck_kernel(parse_kernel(kernel))
-    space = kernel.iteration_space
-    geometry = (width or space.width, height or space.height)
-    source = generate(ir, CodegenOptions(backend="cpu"),
-                      launch_geometry=geometry)
-
-    tag = hashlib.sha1(source.device_code.encode()).hexdigest()[:12]
-    workdir = native_workdir()
-    c_path = os.path.join(workdir, f"{source.entry}_{tag}.c")
-    so_path = os.path.join(workdir, f"{source.entry}_{tag}.so")
-
-    if not os.path.exists(so_path):
-        with open(c_path, "w") as fh:
-            fh.write(source.device_code)
-        cmd = [cc, "-O2", "-shared", "-fPIC", "-std=c99", "-lm",
-               c_path, "-o", so_path]
-        if openmp:
-            cmd.insert(1, "-fopenmp")
-        result = subprocess.run(cmd, capture_output=True, text=True,
-                                timeout=120)
-        if result.returncode != 0:
-            raise CodegenError(
-                f"native compilation failed:\n{result.stderr}")
-
-    lib = ctypes.CDLL(so_path)
-    getattr(lib, source.entry).restype = None
-    return NativeKernel(
-        ir=ir,
-        source=source,
-        accessors=accessor_objects(kernel),
-        library_path=so_path,
-        _lib=lib,
-    )

@@ -5,10 +5,10 @@ lowering (:mod:`repro.backends.cpu`), the buffer pool's arena flattened
 into a single byte slab with compile-time first-fit offsets
 (:func:`repro.graph.pool.first_fit_layout`), and one exported segment
 function per contiguous run of native nodes.  The TU compiles once with
-``cc -O2 -fopenmp`` and executes through ctypes — OpenMP parallelises
-the interior loop nest of each kernel large enough to pay for it
-(:data:`repro.backends.cpu.PARALLEL_MIN_PIXELS`), exactly as the
-single-kernel :mod:`repro.runtime.native` path does.
+the system C compiler and :data:`CC_FLAGS` and executes through ctypes —
+OpenMP parallelises the interior loop nest of each kernel large enough
+to pay for it (:data:`repro.backends.cpu.PARALLEL_MIN_PIXELS`).  This is
+the only route from generated C to machine code.
 
 **The simulator stays the oracle.**  A node joins the native tier only
 when its C lowering is provably byte-identical to the simulator.  The
@@ -27,9 +27,8 @@ gate is *prove-based*: the abstract interpreter
 
 plus the structural conditions: no interpolated accessors (``floorf``
 resampling drifts by ULPs), no dynamic masks, no casting accessors and
-no explicit border-mode overrides.  When the interpreter itself cannot
-analyze a kernel, the old syntactic intrinsic whitelist
-(:func:`whitelist_ineligibility`) remains as the fallback gate.
+no explicit border-mode overrides.  A kernel the interpreter cannot
+analyze is ineligible: it runs through the simulator.
 
 Ineligible nodes keep running through the simulator *inside* the native
 engine (the scheduler interleaves segment calls with simulator
@@ -47,6 +46,7 @@ via a monkeypatched ``subprocess.run``).
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import dataclasses
 import hashlib
@@ -68,7 +68,6 @@ from ..dsl.image import Image
 from ..errors import CodegenError
 from ..graph.fusion import _renamed_ir
 from ..graph.pool import BufferPool, first_fit_layout
-from ..intrinsics import resolve
 from ..ir.nodes import (
     Assign,
     BinOp,
@@ -83,7 +82,7 @@ from ..ir.nodes import (
     Stmt,
     VarDecl,
 )
-from ..ir.visitors import iter_all_exprs, map_exprs
+from ..ir.visitors import map_exprs
 from ..obs import span
 from .native import compiler_signature, find_c_compiler, native_workdir
 
@@ -92,6 +91,14 @@ from .native import compiler_signature, find_c_compiler, native_workdir
 #: to C emission needs this bump: graph_fingerprint hashes IR and layout,
 #: not the emitted source.
 NATIVE_GRAPH_FORMAT = 3
+
+#: the one compile command's flags (``cc <flags> tu.c -o tu.so -lm``),
+#: folded into :func:`graph_fingerprint`.  ``-ffp-contract=off`` is
+#: explicit because only GCC's ``-std=c99`` implies it: a compiler that
+#: contracts ``a*b+c`` into an FMA breaks byte-identity with the
+#: simulator, which rounds the product first.
+CC_FLAGS = ("-fopenmp", "-O2", "-ffp-contract=off", "-shared", "-fPIC",
+            "-std=c99")
 
 #: slab row alignment in *elements* (64 bytes for float32 rows — the
 #: same padding the simulator's launch path would apply)
@@ -126,8 +133,26 @@ EXACT_POW_EXPONENTS = frozenset({0.0, 0.5, 1.0, 2.0, -1.0})
 # --------------------------------------------------------------------------
 
 
-def _structural_ineligibility(node) -> Optional[str]:
-    """The analysis-independent rejects shared by both gates."""
+def _fmt_bound(v: float) -> str:
+    if v == float("-inf"):
+        return "-inf"
+    if v == float("inf"):
+        return "inf"
+    return f"{int(v)}" if float(v).is_integer() else f"{v:g}"
+
+
+def native_ineligibility(node) -> Optional[str]:
+    """Why *node* cannot join the native tier, or None when it can.
+
+    The rules are exactly the bit-exactness argument in the module
+    docstring: structural rejects first, then the abstract interpreter
+    runs over the node's typed IR and every access and intrinsic needs
+    a proof.  Returns the first unproven fact as the reason; anything
+    rejected here runs through the simulator instead, keeping hybrid
+    output byte-identical by construction.
+    """
+    from ..lint.absint import interpret
+
     if node.compiled is None:
         raise CodegenError(
             f"node {node.name!r} is not compiled; run compile_graph "
@@ -147,45 +172,12 @@ def _structural_ineligibility(node) -> Optional[str]:
     for mask in ir.masks:
         if mask.coefficients is None:
             return f"dynamic mask {mask.name!r}"
-    return None
 
-
-def whitelist_ineligibility(node) -> Optional[str]:
-    """The pre-absint gate: structural rejects plus a syntactic scan
-    for non-whitelisted intrinsics.  Kept as (a) the fallback when the
-    abstract interpreter cannot analyze a kernel and (b) the baseline
-    for CI's eligibility diff (the prove-based gate must never admit
-    fewer nodes than this one)."""
-    reason = _structural_ineligibility(node)
-    if reason is not None:
-        return reason
-    for e in iter_all_exprs(node.compiled.ir.body):
-        if isinstance(e, Call):
-            name = resolve(e.func).name
-            if name not in EXACT_INTRINSICS:
-                return f"inexact intrinsic {name!r}"
-    return None
-
-
-def _fmt_bound(v: float) -> str:
-    if v == float("-inf"):
-        return "-inf"
-    if v == float("inf"):
-        return "inf"
-    return f"{int(v)}" if float(v).is_integer() else f"{v:g}"
-
-
-def prove_ineligibility(node) -> Optional[str]:
-    """The prove-based gate: run the abstract interpreter over the
-    node's typed IR and demand a proof for every access and intrinsic.
-    Returns the first unproven fact as the reason, or ``None`` when the
-    whole kernel is proven bit-exact-lowerable."""
-    from ..lint.absint import interpret
-
-    reason = _structural_ineligibility(node)
-    if reason is not None:
-        return reason
-    result = interpret(node.compiled.ir)
+    try:
+        result = interpret(ir)
+    except Exception as exc:
+        return (f"abstract interpreter failed: "
+                f"{type(exc).__name__}: {exc}")
     for r in result.reads:
         if r.in_window is not True:
             dx, dy = r.dx, r.dy
@@ -214,23 +206,6 @@ def prove_ineligibility(node) -> Optional[str]:
                     f"bit-exact forms)")
         return f"inexact intrinsic {c.func!r}"
     return None
-
-
-def native_ineligibility(node) -> Optional[str]:
-    """Why *node* cannot join the native tier, or None when it can.
-
-    The rules are exactly the bit-exactness argument in the module
-    docstring; anything rejected here runs through the simulator
-    instead, keeping hybrid output byte-identical by construction.
-    The prove-based gate decides; the syntactic whitelist only answers
-    when the interpreter itself fails on the kernel.
-    """
-    try:
-        return prove_ineligibility(node)
-    except CodegenError:
-        raise
-    except Exception:
-        return whitelist_ineligibility(node)
 
 
 # --------------------------------------------------------------------------
@@ -596,10 +571,10 @@ def emit_graph_source(plan: NativeGraphPlan) -> str:
 # --------------------------------------------------------------------------
 
 
-def graph_fingerprint(plan: NativeGraphPlan, cc: str,
-                      openmp: bool = True) -> str:
+def graph_fingerprint(plan: NativeGraphPlan, cc: str) -> str:
     """sha256 content address of the native compilation: canonical IRs,
-    topology/segments, slab layout, codegen options, compiler version.
+    topology/segments, slab layout, codegen options, compiler version
+    and flags.
     Any change that could alter the emitted TU or its ABI changes the
     fingerprint, so stale ``.so`` artifacts can never be resurrected."""
     nodes = []
@@ -628,7 +603,7 @@ def graph_fingerprint(plan: NativeGraphPlan, cc: str,
         "format": NATIVE_GRAPH_FORMAT,
         "version": __version__,
         "cc": compiler_signature(cc),
-        "openmp": bool(openmp),
+        "flags": list(CC_FLAGS),
         "alignment": SLAB_ALIGNMENT,
         "nodes": nodes,
         "segments": plan.segments,
@@ -696,12 +671,17 @@ class NativeGraphExecutor:
             plan.ext_images[j].pixels[...] = self._ext[j]
 
 
-def _atomic_write(path: str, blob: bytes) -> None:
+@contextlib.contextmanager
+def _replacing(path: str):
+    """Yield a temporary path beside *path*; rename it onto *path* when
+    the block succeeds, remove it when it raises.  Readers probing
+    *path* (another process sharing the workdir) never see a partial
+    file."""
     fd, tmp = tempfile.mkstemp(suffix=".tmp",
                                dir=os.path.dirname(path))
+    os.close(fd)
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+        yield tmp
         os.replace(tmp, path)
     except BaseException:
         try:
@@ -711,10 +691,14 @@ def _atomic_write(path: str, blob: bytes) -> None:
         raise
 
 
+def _atomic_write(path: str, blob: bytes) -> None:
+    with _replacing(path) as tmp, open(tmp, "wb") as fh:
+        fh.write(blob)
+
+
 def compile_native_graph(graph, order=None,
                          cache: Optional[CompilationCache] = None,
-                         cc: Optional[str] = None,
-                         openmp: bool = True) -> NativeGraphModule:
+                         cc: Optional[str] = None) -> NativeGraphModule:
     """Plan, fingerprint and load the native module for *graph*.
 
     Resolution order — materialised ``.so`` in the workdir, then the
@@ -735,7 +719,7 @@ def compile_native_graph(graph, order=None,
                 f"{graph.name!r}: " + "; ".join(
                     f"{n}: {r}" for n, r in sorted(plan.reasons.items())))
         source = emit_graph_source(plan)
-        fingerprint = graph_fingerprint(plan, cc, openmp)
+        fingerprint = graph_fingerprint(plan, cc)
         key = f"ng_{fingerprint}"
         entries = [f"repro_graph_seg{k}"
                    for k in range(len(plan.segments))]
@@ -774,17 +758,17 @@ def compile_native_graph(graph, order=None,
                     cache.invalidate(key)
         if lib is None:
             c_path = so_path[:-3] + ".c"
-            with open(c_path, "w") as fh:
-                fh.write(source)
-            cmd = [cc, "-O2", "-shared", "-fPIC", "-std=c99",
-                   c_path, "-o", so_path, "-lm"]
-            if openmp:
-                cmd.insert(1, "-fopenmp")
-            result = subprocess.run(cmd, capture_output=True, text=True,
-                                    timeout=240)
-            if result.returncode != 0:
-                raise CodegenError(
-                    f"native graph compilation failed:\n{result.stderr}")
+            _atomic_write(c_path, source.encode())
+            # a half-written so_path would fail another process's CDLL
+            # and be healed away (unlinked) while cc is still writing it
+            with _replacing(so_path) as tmp:
+                result = subprocess.run(
+                    [cc, *CC_FLAGS, c_path, "-o", tmp, "-lm"],
+                    capture_output=True, text=True, timeout=240)
+                if result.returncode != 0:
+                    raise CodegenError(
+                        "native graph compilation failed:\n"
+                        f"{result.stderr}")
             lib = ctypes.CDLL(so_path)
             origin = "fresh"
             if cache is not None:

@@ -267,6 +267,66 @@ def assert_native_matches_sim(build, engine="native", **run_kwargs):
     return nat_report
 
 
+def run_c_kernel(ir, accessors, width, height):
+    """Compile one kernel's CPU lowering on its own, with the native
+    tier's compile flags, and run it over a *width* x *height*
+    iteration space; returns the output array.
+
+    For kernels the native gate keeps on the simulator (so
+    :func:`assert_native_matches_sim` cannot reach their C) and for raw
+    IR.  *ir* is a typed :class:`~repro.ir.nodes.KernelIR`, *accessors*
+    maps its accessor names to :class:`Accessor` objects; non-baked
+    parameters pass their construction-time values.  Skips the test
+    when no C compiler is on PATH.
+    """
+    import ctypes
+    import hashlib
+    import os
+    import subprocess
+
+    from repro import CodegenOptions
+    from repro.backends import generate
+    from repro.runtime.native import find_c_compiler, native_workdir
+    from repro.runtime.native_graph import CC_FLAGS
+
+    cc = find_c_compiler()
+    if cc is None:
+        pytest.skip("no C compiler on PATH")
+    src = generate(ir, CodegenOptions(backend="cpu"),
+                   launch_geometry=(width, height))
+    tag = hashlib.sha1(" ".join(CC_FLAGS + (src.device_code,))
+                       .encode()).hexdigest()[:12]
+    stem = os.path.join(native_workdir(), f"{src.entry}_{tag}")
+    if not os.path.exists(stem + ".so"):
+        with open(stem + ".c", "w") as fh:
+            fh.write(src.device_code)
+        result = subprocess.run(
+            [cc, *CC_FLAGS, stem + ".c", "-o", stem + ".so", "-lm"],
+            capture_output=True, text=True, timeout=120)
+        assert result.returncode == 0, result.stderr
+    fn = getattr(ctypes.CDLL(stem + ".so"), src.entry)
+    fn.restype = None
+
+    out = np.zeros((height, width), dtype=ir.pixel_type.np_dtype)
+    argv = [out.ctypes.data_as(ctypes.c_void_p), ctypes.c_int(width)]
+    keepalive = []
+    for acc in ir.accessors:
+        image = accessors[acc.name].image
+        pixels = np.ascontiguousarray(image.pixels,
+                                      dtype=acc.pixel_type.np_dtype)
+        keepalive.append(pixels)
+        argv += [pixels.ctypes.data_as(ctypes.c_void_p),
+                 ctypes.c_int(image.width), ctypes.c_int(image.height),
+                 ctypes.c_int(pixels.shape[1])]
+    argv += [ctypes.c_int(v) for v in (width, height, 0, 0)]
+    for p in ir.params:
+        if not p.baked:
+            argv.append(ctypes.c_float(float(p.value)) if p.type.is_float
+                        else ctypes.c_int(int(p.value)))
+    fn(*argv)
+    return out
+
+
 def build_convolution(size=16, mask_size=3, boundary=Boundary.CLAMP,
                       coefficient_scale=1.0):
     """Deterministic MaskConvolution instance — same bytes in every

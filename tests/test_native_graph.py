@@ -39,12 +39,14 @@ from repro.graph import compile_graph, execute_graph
 from repro.runtime import native, native_graph
 from repro.runtime.native import clear_compiler_cache, find_c_compiler
 from repro.runtime.native_graph import (
+    CC_FLAGS,
     EXACT_POW_EXPONENTS,
     NATIVE_GRAPH_FORMAT,
     compile_native_graph,
+    emit_graph_source,
+    graph_fingerprint,
     native_ineligibility,
     plan_native_graph,
-    whitelist_ineligibility,
 )
 
 from .helpers import assert_native_matches_sim, random_image
@@ -141,9 +143,8 @@ def test_cli_edge_pipeline_is_hybrid(native_env):
 @requires_cc
 def test_enhance_pipeline_square_gamma_native(native_env):
     # scale -> gamma(2.0): pow(x, 2.0) strength-reduces to x*x, which the
-    # abstract interpreter proves bit-exact — the syntactic whitelist
-    # still rejects the node, so this pins the prove-based gate widening
-    # eligibility beyond the whitelist.
+    # abstract interpreter proves bit-exact, so the node is admitted and
+    # the emitted TU never calls powf.
     from repro.serve.planner import plan_request
 
     frame = random_image(48, 48)
@@ -161,9 +162,10 @@ def test_enhance_pipeline_square_gamma_native(native_env):
     plan = plan_request({"pipeline": "enhance"}, frame)
     compile_graph(plan.graph, cache=False, workers=1)
     gamma = next(n for n in plan.graph.nodes if "gamma" in n.name)
-    wl = whitelist_ineligibility(gamma)
-    assert wl is not None and "pow" in wl
     assert native_ineligibility(gamma) is None
+    native_plan = plan_native_graph(plan.graph)
+    assert native_plan.native_count == len(plan.graph.nodes)
+    assert "powf" not in emit_graph_source(native_plan)
 
 
 @requires_cc
@@ -343,6 +345,43 @@ def test_auto_engine_without_compiler_falls_back(monkeypatch):
 
 
 @requires_cc
+def test_ineligibility_on_interpreter_failure(native_env, monkeypatch):
+    # a kernel the abstract interpreter cannot analyze is ineligible:
+    # there is no syntactic fallback that could admit it unproven
+    from repro.lint import absint
+    from repro.serve.planner import plan_request
+
+    frame = random_image(32, 32, seed=4)
+    cache = CompilationCache()
+
+    def build():
+        plan = plan_request({"pipeline": "denoise"}, frame)
+        return plan.graph, plan.output
+
+    # compile first: kernel verification runs the interpreter too, and
+    # the cached compiles below must not reach it
+    graph, _ = build()
+    compile_graph(graph, cache=cache, workers=1)
+    victim = next(n for n in graph.nodes if "gaussian" in n.name)
+    real = absint.interpret
+
+    def interpret(ir, *args, **kwargs):
+        if ir.name == victim.compiled.ir.name:
+            raise RuntimeError("injected interpreter failure")
+        return real(ir, *args, **kwargs)
+
+    monkeypatch.setattr(absint, "interpret", interpret)
+    reason = native_ineligibility(victim)
+    assert reason == ("abstract interpreter failed: "
+                      "RuntimeError: injected interpreter failure")
+
+    report = assert_native_matches_sim(build, workers=1, cache=cache)
+    assert report.engine_used == "native"
+    assert report.node(victim.name).engine == "sim"
+    assert report.native_nodes == report.launches - 1
+
+
+@requires_cc
 def test_native_engine_with_nothing_eligible_falls_back(native_env):
     from repro.filters.point_ops import GammaCorrection
 
@@ -508,6 +547,51 @@ def test_compiler_version_change_misses_cache(native_env, tmp_path,
     mod2 = compile_native_graph(g, cache=cache)
     assert mod2.fingerprint != mod1.fingerprint
     assert mod2.origin == "fresh" and spy.calls == 1
+
+
+@requires_cc
+def test_fresh_compile_is_atomic(native_env, monkeypatch):
+    # cc writes beside the final path and the result is renamed onto
+    # it: a process probing so_path meanwhile never loads (or heals
+    # away) a half-written object
+    g, _ = _compiled_simple(None)
+    fingerprint = graph_fingerprint(plan_native_graph(g), find_c_compiler())
+    so_path = os.path.join(str(native_env), "hipacc_py_native_graph",
+                           f"graph_{fingerprint[:16]}.so")
+    commands = []
+
+    class _AtomicSpy(_CcSpy):
+        def __call__(self, cmd, *args, **kwargs):
+            commands.append(cmd)
+            assert not os.path.exists(so_path)
+            result = super().__call__(cmd, *args, **kwargs)
+            assert not os.path.exists(so_path)
+            return result
+
+    spy = _AtomicSpy(real=native_graph.subprocess.run)
+    monkeypatch.setattr(native_graph.subprocess, "run", spy)
+    mod = compile_native_graph(g)
+    assert mod.origin == "fresh" and spy.calls == 1
+    assert mod.library_path == so_path and os.path.exists(so_path)
+    assert commands[0][1:1 + len(CC_FLAGS)] == list(CC_FLAGS)
+    name = os.path.basename(so_path)
+    assert sorted(os.listdir(os.path.dirname(so_path))) == [
+        name[:-3] + ".c", name]      # no temporary left behind
+
+
+def test_compile_flags_pinned_and_fingerprinted(monkeypatch):
+    # -ffp-contract=off is load-bearing: FMA contraction would break
+    # byte-identity with the simulator
+    assert CC_FLAGS == ("-fopenmp", "-O2", "-ffp-contract=off",
+                        "-shared", "-fPIC", "-std=c99")
+    g, _ = _simple_graph(random_image(W, H))
+    compile_graph(g, cache=False, workers=1)
+    plan = plan_native_graph(g)
+    before = graph_fingerprint(plan, "cc")
+    monkeypatch.setattr(native_graph, "CC_FLAGS",
+                        tuple(f for f in CC_FLAGS
+                              if f != "-ffp-contract=off"))
+    assert graph_fingerprint(plan, "cc") != before
 
 
 def test_artifact_store_roundtrip(tmp_path):

@@ -231,48 +231,11 @@ class TestRandomKernels:
         """The ultimate differential check: generate C for the random
         kernel, compile it with the system compiler, run it on real
         hardware, and demand near-bit-exact agreement with the Python
-        simulator (FMA contraction and libm rounding allow 1-2 ULP)."""
-        import ctypes
-        import hashlib
-        import os
-        import subprocess
-        import tempfile
+        simulator (libm rounding of transcendentals allows 1-2 ULP)."""
+        from .helpers import run_c_kernel
 
-        from repro.runtime.native import find_c_compiler
-
-        cc = find_c_compiler()
-        if cc is None:
-            pytest.skip("no C compiler on PATH")
         kernel, mode = case
         accessors = _accessors(mode)
         sim = _run(kernel, accessors)
-
-        src = generate(kernel, CodegenOptions(backend="cpu"),
-                       launch_geometry=(WIDTH, HEIGHT))
-        tag = hashlib.sha1(src.device_code.encode()).hexdigest()[:12]
-        workdir = os.path.join(tempfile.gettempdir(),
-                               "hipacc_py_native_fuzz")
-        os.makedirs(workdir, exist_ok=True)
-        c_path = os.path.join(workdir, f"k_{tag}.c")
-        so_path = os.path.join(workdir, f"k_{tag}.so")
-        if not os.path.exists(so_path):
-            with open(c_path, "w") as fh:
-                fh.write(src.device_code)
-            # -ffp-contract=off: the simulator does not fuse a*b+c
-            result = subprocess.run(
-                [cc, "-O2", "-ffp-contract=off", "-shared", "-fPIC",
-                 "-std=c99", "-lm", c_path, "-o", so_path],
-                capture_output=True, text=True, timeout=120)
-            assert result.returncode == 0, result.stderr
-        lib = ctypes.CDLL(so_path)
-        fn = getattr(lib, src.entry)
-        fn.restype = None
-        out = np.zeros((HEIGHT, WIDTH), dtype=np.float32)
-        img = np.ascontiguousarray(
-            accessors["inp"].image.pixels.astype(np.float32))
-        fn(out.ctypes.data_as(ctypes.c_void_p), ctypes.c_int(WIDTH),
-           img.ctypes.data_as(ctypes.c_void_p), ctypes.c_int(WIDTH),
-           ctypes.c_int(HEIGHT), ctypes.c_int(img.shape[1]),
-           ctypes.c_int(WIDTH), ctypes.c_int(HEIGHT),
-           ctypes.c_int(0), ctypes.c_int(0))
+        out = run_c_kernel(kernel, accessors, WIDTH, HEIGHT)
         np.testing.assert_allclose(out, sim, rtol=1e-5, atol=1e-5)
