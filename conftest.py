@@ -1,7 +1,8 @@
 """Repo-level pytest configuration.
 
 Adds the ``--repro-seed`` determinism knob (see ``tests/helpers.py`` for
-the fixture) and pins hypothesis to a derandomized profile so property
+the fixture, which also holds the ``native_env`` fixture registered
+here) and pins hypothesis to a derandomized profile so property
 failures reproduce bit-for-bit in CI.
 """
 
@@ -49,4 +50,4 @@ def pytest_collection_modifyitems(config, items):
         it.add_marker(skip)
 
 
-from tests.helpers import repro_seed  # noqa: E402,F401
+from tests.helpers import native_env, repro_seed  # noqa: E402,F401

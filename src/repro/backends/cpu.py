@@ -5,11 +5,16 @@ device-specific machinery retargets to one.  The GPU's two-layered
 parallelism maps onto OpenMP worksharing, and the nine-region boundary
 specialisation becomes *loop splitting*: the interior runs as a tight
 ``#pragma omp parallel for`` nest with zero conditionals (serial below
-:data:`PARALLEL_MIN_PIXELS`), while eight border strips run with exactly
-the side-limited index adjustments the GPU variants use.  Filter masks
-become ``static const`` arrays (the CPU's constant memory is its L1),
-and the same ``bh_*`` helpers are emitted as ``static inline``
-functions.
+:data:`PARALLEL_MIN_PIXELS`), which the native tier's ``-O3
+-march=native`` build vectorises for the host.  The eight border strips
+share one out-of-line border function, ``<kernel>_bpx``, whose body is
+lowered once with two-sided index adjustments and compiled for size
+(``cold``); one serial loop calls it for every pixel outside the
+interior.  The body is thus compiled twice per kernel rather than nine
+times, which keeps the ``-O3`` build as cheap as the old ``-O2`` one.
+Filter masks become ``static const`` arrays (the CPU's constant memory
+is its L1), and the same ``bh_*`` helpers are emitted as ``static
+inline`` functions.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ import numpy as np
 
 from ..dsl.boundary import Boundary
 from ..errors import CodegenError
-from ..ir.nodes import KernelIR
+from ..ir.nodes import Call, KernelIR
+from ..ir.visitors import map_exprs
 from ..types import FLOAT
 from .base import (
     BorderMode,
@@ -52,13 +58,19 @@ def cpu_common_preamble() -> List[str]:
         "#include <stdlib.h>",
         "#include <omp.h>",
         "",
-        "// CUDA/OpenCL's polymorphic min/max as C99 macros; kernel",
-        "// expressions are pure, so double evaluation is safe",
+        "// CUDA/OpenCL's polymorphic min/max as C99 macros with NumPy's",
+        "// minimum/maximum semantics: a NaN operand propagates (the",
+        "// first one when both are NaN), equal operands such as -0/+0",
+        "// give the second.  `+ 0.0f` lets __builtin_isnan take integer",
+        "// operands too.  Kernel expressions are pure, so evaluating an",
+        "// operand more than once is safe",
         "#ifndef min",
-        "#define min(a, b) ((a) < (b) ? (a) : (b))",
+        "#define min(a, b) "
+        "(__builtin_isnan((a) + 0.0f) ? (a) : (a) < (b) ? (a) : (b))",
         "#endif",
         "#ifndef max",
-        "#define max(a, b) ((a) > (b) ? (a) : (b))",
+        "#define max(a, b) "
+        "(__builtin_isnan((a) + 0.0f) ? (a) : (a) > (b) ? (a) : (b))",
         "#endif",
         "",
         "// boundary index adjustment helpers",
@@ -66,6 +78,18 @@ def cpu_common_preamble() -> List[str]:
     for name, args, body in BH_HELPERS:
         lines.append(f"static inline int {name}({args}) {{ {body} }}")
     return lines
+
+
+def _numpy_min_max(kernel: KernelIR) -> KernelIR:
+    """Lower ``fmin``/``fmax`` through the ``min``/``max`` macros: the
+    simulator evaluates all four with NumPy's NaN-propagating
+    ``minimum``/``maximum``, while libm's ``fminf`` ignores a NaN."""
+    def rewrite(e):
+        if isinstance(e, Call) and e.func in ("fmin", "fmax"):
+            return dataclasses.replace(e, func=e.func[1:])
+        return e
+
+    return dataclasses.replace(kernel, body=map_exprs(kernel.body, rewrite))
 
 
 @dataclasses.dataclass
@@ -230,28 +254,27 @@ class CpuBackend:
                 ]
         return lines
 
-    def _signature(self, kernel: KernelIR) -> str:
+    def _params(self, kernel: KernelIR) -> List[Tuple[str, str]]:
+        """(declaration, name) of every entry-point parameter."""
         out_t = kernel.pixel_type.cuda_name
-        args = [f"{out_t} * restrict OUT", "int OUT_stride"]
+        params = [(f"{out_t} * restrict OUT", "OUT"),
+                  ("int OUT_stride", "OUT_stride")]
         for acc in kernel.accessors:
             t = acc.pixel_type.cuda_name
-            args.append(f"const {t} * restrict {acc.name}")
-            args += [f"int {acc.name}_width", f"int {acc.name}_height",
-                     f"int {acc.name}_stride"]
-        args += ["int IS_width", "int IS_height",
-                 "int IS_offset_x", "int IS_offset_y"]
+            params.append((f"const {t} * restrict {acc.name}", acc.name))
+            params += [(f"int {acc.name}_{f}", f"{acc.name}_{f}")
+                       for f in ("width", "height", "stride")]
+        params += [(f"int IS_{f}", f"IS_{f}")
+                   for f in ("width", "height", "offset_x", "offset_y")]
         for p in kernel.params:
             if not p.baked:
-                args.append(f"{p.type.cuda_name} {p.name}")
-        return f"void {kernel.name}_cpu({', '.join(args)})"
+                params.append((f"{p.type.cuda_name} {p.name}", p.name))
+        return params
 
-    def _region_loops(self, kernel: KernelIR, region: BorderRegion,
-                      geometry: Tuple[int, int]) -> List[str]:
-        """One split loop nest covering *region* (pixel units)."""
-        x0, x1 = region.bx_lo, min(region.bx_hi, geometry[0])
-        y0, y1 = region.by_lo, min(region.by_hi, geometry[1])
-        if x1 <= x0 or y1 <= y0:
-            return []
+    def _body(self, kernel: KernelIR, region: BorderRegion,
+              indent: int) -> List[str]:
+        """The kernel body for one pixel ``(gid_x, gid_y)``, with the
+        index adjustments *region*'s sides need."""
         exprs = CExprPrinter("cuda",
                              lower_read=self._lower_read(kernel, region),
                              lower_mask=self._lower_mask(kernel))
@@ -259,14 +282,17 @@ class CpuBackend:
             exprs,
             lower_write=lambda v:
             f"OUT[gid_y * OUT_stride + gid_x] = {v};")
-        label = region.label if not region.is_interior else \
-            "NO_BH (interior fast path)"
+        return stmts.print_body(kernel.body, indent)
+
+    def _interior_nest(self, kernel: KernelIR,
+                       box: Tuple[int, int, int, int]) -> List[str]:
+        """The unguarded interior loop nest over *box* (pixel units)."""
+        x0, x1, y0, y1 = box
         lines = [
-            f"    // region {label}: "
+            f"    // region NO_BH (interior fast path): "
             f"x in {x0}..{x1}-1, y in {y0}..{y1}-1",
         ]
-        if region.is_interior and \
-                (x1 - x0) * (y1 - y0) >= PARALLEL_MIN_PIXELS:
+        if (x1 - x0) * (y1 - y0) >= PARALLEL_MIN_PIXELS:
             lines.append("    #pragma omp parallel for schedule(static)")
         lines += [
             f"    for (int gid_y = IS_offset_y + {y0}; "
@@ -274,19 +300,52 @@ class CpuBackend:
             f"        for (int gid_x = IS_offset_x + {x0}; "
             f"gid_x < IS_offset_x + {x1}; ++gid_x) {{",
         ]
-        lines += stmts.print_body(kernel.body, 3)
+        lines += self._body(kernel, BorderRegion(
+            Side.NONE, Side.NONE, x0, x1, y0, y1), 3)
         lines += ["        }", "    }"]
         return lines
 
+    def _border_loop(self, kernel: KernelIR, params: List[str],
+                     geometry: Tuple[int, int],
+                     box: Optional[Tuple[int, int, int, int]]
+                     ) -> List[str]:
+        """One serial loop calling the border function for every pixel
+        outside the interior *box* (every pixel when *box* is None)."""
+        width, height = geometry
+        call = (f"{kernel.name}_bpx({', '.join(params)}, "
+                f"IS_offset_x + x, IS_offset_y + y);")
+        lines = ["    // border frame: every pixel outside the interior, "
+                 "one out-of-line call each",
+                 f"    for (int y = 0; y < {height}; ++y) {{"]
+        if box is None:
+            lines += [f"        for (int x = 0; x < {width}; ++x)",
+                      f"            {call}"]
+        else:
+            x0, x1, y0, y1 = box
+            lines += [
+                f"        const int skip = (y >= {y0} && y < {y1}) "
+                f"? {x1 - x0} : 0;",
+                f"        for (int x = 0; x < {width}; ++x) {{",
+                f"            if (x == {x0}) x += skip;",
+                f"            if (x < {width}) {call}",
+                "        }",
+            ]
+        lines.append("    }")
+        return lines
+
     def kernel_unit(self, kernel: KernelIR,
-                    launch_geometry: Optional[Tuple[int, int]] = None
-                    ) -> CpuKernelUnit:
-        """Lower one kernel to its TU fragment (no shared preamble)."""
+                    launch_geometry: Optional[Tuple[int, int]] = None,
+                    export: bool = True) -> CpuKernelUnit:
+        """Lower one kernel to its TU fragment (no shared preamble).
+
+        With *export* False the entry function is ``static``: a TU that
+        calls it from one place of its own lets the compiler inline it
+        there rather than also compile a standalone copy."""
         if launch_geometry is None:
             raise CodegenError(
                 "the CPU backend splits loops at compile time and needs "
                 "the iteration-space geometry")
-        kernel = prepare_kernel(kernel, self.options)
+        kernel = _numpy_min_max(prepare_kernel(kernel, self.options))
         width, height = launch_geometry
         window = (1, 1)
         for acc in kernel.accessors:
@@ -294,14 +353,37 @@ class CpuBackend:
                       max(window[1], acc.window[1]))
         # block (1,1): regions in exact pixel strips
         layout = classify_regions(width, height, (1, 1), window)
+        box = None
+        for r in layout.regions:
+            if r.is_interior and r.bx_hi > r.bx_lo and r.by_hi > r.by_lo:
+                box = (r.bx_lo, r.bx_hi, r.by_lo, r.by_hi)
+        has_border = box is None or \
+            (box[1] - box[0]) * (box[3] - box[2]) < width * height
 
-        func_lines = [self._signature(kernel) + " {"]
-        # interior first (the hot loop), then border strips
-        ordered = sorted(layout.regions,
-                         key=lambda r: 0 if r.is_interior else 1)
-        for region in ordered:
-            func_lines += self._region_loops(kernel, region,
-                                             (width, height))
+        params = self._params(kernel)
+        decls = ", ".join(d for d, _ in params)
+        func_lines: List[str] = []
+        if has_border:
+            # the border pixels share one out-of-line body with two-sided
+            # index adjustments: in a non-degenerate layout no border
+            # pixel reaches the far side, so it computes exactly what the
+            # side-limited strip variants would — compiled once, not
+            # eight times, and for size (``cold``): neither unrolled nor
+            # vectorised, which keeps the -O3 build's cc time down
+            func_lines += [
+                f"static __attribute__((noinline, cold)) void "
+                f"{kernel.name}_bpx({decls}, int gid_x, int gid_y) {{"]
+            func_lines += self._body(kernel, BorderRegion(
+                Side.BOTH, Side.BOTH, 0, width, 0, height), 1)
+            func_lines += ["}", ""]
+        linkage = "" if export else "static "
+        func_lines.append(f"{linkage}void {kernel.name}_cpu({decls}) {{")
+        # interior first (the hot loop), then the border frame
+        if box is not None:
+            func_lines += self._interior_nest(kernel, box)
+        if has_border:
+            func_lines += self._border_loop(
+                kernel, [n for _, n in params], (width, height), box)
         func_lines.append("}")
         return CpuKernelUnit(
             name=kernel.name,
@@ -309,8 +391,7 @@ class CpuBackend:
             interp_lines=self._interp_lines(kernel),
             mask_lines=self._mask_lines(kernel),
             func_lines=func_lines,
-            num_variants=sum(1 for r in layout.regions
-                             if r.num_blocks > 0 or r.is_interior),
+            num_variants=int(box is not None) + int(has_border),
         )
 
     def generate(self, kernel: KernelIR,

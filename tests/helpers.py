@@ -235,10 +235,22 @@ def repro_seed(request):
     return seed
 
 
+@pytest.fixture
+def native_env(tmp_path, monkeypatch):
+    """Hermetic native workdir + fresh compiler probes per test
+    (registered for every module by the repo-level ``conftest.py``)."""
+    from repro.runtime.native import clear_compiler_cache
+
+    monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
+    clear_compiler_cache()
+    yield tmp_path
+    clear_compiler_cache()
+
+
 def assert_native_matches_sim(build, engine="native", **run_kwargs):
     """Differential oracle: run the graph built by *build* through both
     the Python simulator and the native engine and assert every output
-    byte-identical.
+    byte-identical (NaN pixels must agree, but not their NaN bits).
 
     *build* is a zero-argument callable returning ``(graph, outputs)``
     where *outputs* is an output :class:`Image` or a sequence of them.
@@ -264,6 +276,14 @@ def assert_native_matches_sim(build, engine="native", **run_kwargs):
         np.testing.assert_array_equal(
             ref, got,
             err_msg=f"output {i} differs between sim and {engine}")
+        # equal values are not equal bits (-0.0 == 0.0): compare every
+        # non-NaN pixel bitwise.  A NaN's sign and payload are not
+        # pinned — C lets the compiler commute ``a + b``, and x86 keeps
+        # the first operand's NaN
+        if ref.dtype.kind == "f":
+            number = ~np.isnan(ref)
+            assert ref[number].tobytes() == got[number].tobytes(), \
+                f"output {i}: sim and {engine} differ in sign or bits"
     return nat_report
 
 

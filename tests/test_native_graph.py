@@ -59,15 +59,6 @@ requires_cc = pytest.mark.requires_cc
 W, H = 24, 16
 
 
-@pytest.fixture
-def native_env(tmp_path, monkeypatch):
-    """Hermetic native workdir + fresh compiler probes per test."""
-    monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
-    clear_compiler_cache()
-    yield tmp_path
-    clear_compiler_cache()
-
-
 def _img(data=None, name=None, w=W, h=H):
     img = Image(w, h, float, name=name)
     if data is not None:
@@ -582,8 +573,8 @@ def test_fresh_compile_is_atomic(native_env, monkeypatch):
 def test_compile_flags_pinned_and_fingerprinted(monkeypatch):
     # -ffp-contract=off is load-bearing: FMA contraction would break
     # byte-identity with the simulator
-    assert CC_FLAGS == ("-fopenmp", "-O2", "-ffp-contract=off",
-                        "-shared", "-fPIC", "-std=c99")
+    assert CC_FLAGS == ("-fopenmp", "-O3", "-march=native",
+                        "-ffp-contract=off", "-shared", "-fPIC", "-std=c99")
     g, _ = _simple_graph(random_image(W, H))
     compile_graph(g, cache=False, workers=1)
     plan = plan_native_graph(g)

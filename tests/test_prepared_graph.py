@@ -39,7 +39,6 @@ from repro.graph import compile_graph, execute_graph
 from repro.graph.pool import BufferPool
 from repro.graph.scheduler import prepare_graph
 from repro.obs.trace import Tracer, tracing
-from repro.runtime.native import clear_compiler_cache
 from repro.runtime.native_graph import emit_graph_source, plan_native_graph
 from repro.serve import ServeConfig, ServeService
 from repro.serve import service as service_mod
@@ -55,15 +54,6 @@ CHAIN = [{"op": "gaussian", "size": 3}, {"op": "scale", "factor": 2.0}]
 #: every named pipeline plus an inline chain
 KINDS = [{"pipeline": name} for name in sorted(PIPELINES)] \
     + [{"chain": CHAIN}]
-
-
-@pytest.fixture
-def native_env(tmp_path, monkeypatch):
-    """Hermetic native workdir + fresh compiler probes per test."""
-    monkeypatch.setenv("REPRO_NATIVE_DIR", str(tmp_path))
-    clear_compiler_cache()
-    yield tmp_path
-    clear_compiler_cache()
 
 
 @pytest.fixture
