@@ -18,7 +18,7 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 from ..intrinsics import resolve
 from .cfg import build_cfg
@@ -41,7 +41,7 @@ from .nodes import (
     VarRef,
     const_int_value,
 )
-from .visitors import walk_exprs
+from .visitors import stmt_exprs, walk_exprs
 
 
 # --------------------------------------------------------------------------
@@ -99,6 +99,19 @@ class AccessInfo:
         return (2 * half_x + 1, 2 * half_y + 1)
 
 
+def loop_trip(s: ForRange) -> Optional[Tuple[int, int, int]]:
+    """(trip count, min, max of the loop variable) of a loop with
+    constant bounds, else None; a zero-trip loop's range is its start."""
+    start = const_int_value(s.start)
+    stop = const_int_value(s.stop)
+    step = const_int_value(s.step)
+    if None in (start, stop, step) or step == 0:
+        return None
+    n = max(0, (stop - start + (step - (1 if step > 0 else -1))) // step)
+    last = start + (max(n, 1) - 1) * step
+    return n, min(start, last), max(start, last)
+
+
 def _loop_var_ranges(body: Sequence[Stmt],
                      env: Dict[str, Tuple[int, int]],
                      out: Dict[int, Dict[str, Tuple[int, int]]]) -> None:
@@ -106,38 +119,18 @@ def _loop_var_ranges(body: Sequence[Stmt],
     value ranges (inclusive) so offsets like ``xf`` resolve to bounds."""
     for s in body:
         if isinstance(s, ForRange):
-            start = const_int_value(s.start)
-            stop = const_int_value(s.stop)
-            step = const_int_value(s.step)
             inner = dict(env)
-            if None not in (start, stop, step) and step != 0:
-                n = max(0, (stop - start + (step - (1 if step > 0 else -1)))
-                        // step)
-                if n > 0:
-                    last = start + (n - 1) * step
-                    inner[s.var] = (min(start, last), max(start, last))
+            trip = loop_trip(s)
+            if trip is not None and trip[0] > 0:
+                inner[s.var] = trip[1:]
             _loop_var_ranges(s.body, inner, out)
         elif isinstance(s, If):
             _loop_var_ranges(s.then_body, env, out)
             _loop_var_ranges(s.else_body, env, out)
-        for e in _stmt_top_exprs(s):
+        for e in stmt_exprs(s):
             for sub in walk_exprs(e):
                 if isinstance(sub, AccessorRead):
                     out[id(sub)] = dict(env)
-
-
-def _stmt_top_exprs(s: Stmt) -> List[Expr]:
-    if isinstance(s, VarDecl):
-        return [s.init]
-    if isinstance(s, Assign):
-        return [s.value]
-    if isinstance(s, If):
-        return [s.cond]
-    if isinstance(s, ForRange):
-        return [s.start, s.stop, s.step]
-    if isinstance(s, OutputWrite):
-        return [s.value]
-    return []
 
 
 def _offset_bounds(e: Expr, ranges: Dict[str, Tuple[int, int]]
@@ -178,7 +171,7 @@ def analyze_accesses(kernel: KernelIR) -> Dict[str, AccessInfo]:
     cfg = build_cfg(kernel.body)
     for idx in cfg.reverse_postorder():
         for s in cfg.blocks[idx].stmts:
-            for top in _stmt_top_exprs(s):
+            for top in stmt_exprs(s):
                 for e in walk_exprs(top):
                     if isinstance(e, AccessorRead):
                         info = infos[e.accessor]
@@ -293,13 +286,8 @@ def _expr_mix(e: Expr, mix: InstructionMix) -> None:
 
 
 def _trip_count(s: ForRange, default: int) -> float:
-    start = const_int_value(s.start)
-    stop = const_int_value(s.stop)
-    step = const_int_value(s.step)
-    if None in (start, stop, step) or step == 0:
-        return float(default)
-    n = (stop - start + (step - (1 if step > 0 else -1))) // step
-    return float(max(0, n))
+    trip = loop_trip(s)
+    return float(default if trip is None else trip[0])
 
 
 def count_instruction_mix(body: Sequence[Stmt],
@@ -313,7 +301,7 @@ def count_instruction_mix(body: Sequence[Stmt],
     mix = InstructionMix()
     for s in body:
         if isinstance(s, (VarDecl, Assign, OutputWrite)):
-            for e in _stmt_top_exprs(s):
+            for e in stmt_exprs(s):
                 _expr_mix(e, mix)
             mix.alu += 0.5  # register move / store bookkeeping
         elif isinstance(s, If):

@@ -352,19 +352,28 @@ class KernelIR:
                 return p
         raise KeyError(name)
 
+    def absint(self):
+        """The abstract interpreter's fixpoint over this IR — see
+        :mod:`repro.lint.absint`.  The only way into the prover: run
+        once per IR instance and cached.  Mutating ``body`` afterwards
+        does not invalidate it; rewrites build new instances
+        (``dataclasses.replace``), which get their own run.  Threads
+        racing on a cold instance may each run it; the results are equal.
+        """
+        cached = self.__dict__.get("_absint")
+        if cached is None:
+            from ..lint.absint import interpret
+            cached = self._absint = interpret(self)
+        return cached
+
     def footprint(self):
         """The per-accessor access footprint (read-offset hulls and halo
-        extents) derived by the abstract interpreter — see
-        :mod:`repro.lint.footprint`.  Computed once per IR instance and
-        cached; mutating ``body`` afterwards does not invalidate it, so
-        transforms must recompute on their rewritten copies.
-        """
-        cached = getattr(self, "_footprint_cache", None)
-        if cached is None:
-            from ..lint.footprint import compute_footprint
-            cached = compute_footprint(self)
-            self._footprint_cache = cached
-        return cached
+        extents) folded from :meth:`absint` — see
+        :mod:`repro.lint.footprint`."""
+        from ..lint.footprint import footprint_from_result
+        from ..obs import span
+        with span("absint.footprint", kernel=self.name):
+            return footprint_from_result(self, self.absint())
 
 
 # --------------------------------------------------------------------------

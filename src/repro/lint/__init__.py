@@ -34,7 +34,7 @@ from .absint import AbsintResult, interpret, range_passes
 from .collect import collecting, emit
 from .correctness import check_narrowing, correctness_passes
 from .diagnostics import CODES, Diagnostic, LintReport, Severity
-from .footprint import AccessorFootprint, KernelFootprint, compute_footprint
+from .footprint import AccessorFootprint, KernelFootprint
 from .graphlint import graph_passes
 from .performance import performance_passes
 
@@ -47,7 +47,6 @@ __all__ = [
     "LintReport",
     "Severity",
     "collecting",
-    "compute_footprint",
     "emit",
     "interpret",
     "lint_graph",

@@ -1,7 +1,7 @@
-"""Fixpoint abstract interpretation over the kernel CFG (HIP4xx).
+"""Fixpoint abstract interpretation over the kernel CFG (HIP107, HIP4xx).
 
-The correctness passes bound *syntactic* facts (constant offsets, write
-counts); this module runs a classic abstract interpreter over the same
+The correctness passes bound *syntactic* facts (definite assignment,
+write counts); this module runs a classic abstract interpreter over the same
 CFG (:func:`repro.ir.cfg.build_cfg`) with an **interval domain extended
 with gid-affine terms**:
 
@@ -18,17 +18,21 @@ with gid-affine terms**:
   bound that grows between fixpoint iterations is widened to ±∞), so
   the analysis terminates on any CFG.
 
-The fixpoint result feeds three consumers:
+The entry point is ``KernelIR.absint()``: it runs :func:`interpret`
+once per IR instance and caches the :class:`AbsintResult`, so lint,
+footprint, native gate and ``pow`` strength reduction over the same IR
+share one fixpoint.  The result feeds those consumers:
 
-1. the HIP4xx range-hazard passes in :func:`range_passes` (provable
-   out-of-window reads, division by a possibly-zero interval,
-   overflowing narrowing casts, ``sqrt``/``log`` of possibly-negative
-   ranges);
+1. the window and range-hazard passes in :func:`range_passes` (HIP107
+   and HIP401 reads outside the declared window, division by a
+   possibly-zero interval, overflowing narrowing casts, ``sqrt``/``log``
+   of possibly-negative ranges);
 2. the access-footprint domain in :mod:`repro.lint.footprint` (per
    accessor, the interval hull of every read offset);
 3. the prove-based native-tier gate in
    :mod:`repro.runtime.native_graph` (all reads proven in-window, all
-   intrinsics proven inside their bit-exact range).
+   intrinsics proven inside their bit-exact range) and its ``pow``
+   strength reduction.
 
 **Noise policy** — image pixels, runtime uniforms and dynamic masks are
 unknown data (⊤ = ``[-∞, ∞]``).  A hazard that only exists because some
@@ -48,7 +52,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..intrinsics import resolve
-from ..ir.analysis import _loop_var_ranges, _offset_bounds
+from ..ir.analysis import _loop_var_ranges, _offset_bounds, loop_trip
 from ..ir.cfg import CFG, build_cfg
 from ..ir.nodes import (
     AccessorRead,
@@ -62,11 +66,9 @@ from ..ir.nodes import (
     ForRange,
     GidX,
     GidY,
-    If,
     IntConst,
     KernelIR,
     MaskRead,
-    OutputWrite,
     Select,
     Stmt,
     UnOp,
@@ -74,9 +76,10 @@ from ..ir.nodes import (
     VarRef,
     const_int_value,
 )
-from ..ir.visitors import walk_exprs
+from ..ir.visitors import stmt_exprs, walk_exprs
 from ..obs import span
 from ..obs.metrics import get_registry
+from .correctness import _diag, _first_stmt_reading
 from .diagnostics import Diagnostic, Severity
 
 _INF = float("inf")
@@ -589,6 +592,8 @@ class ReadFact:
     stmt: Optional[Stmt]
     window: Tuple[int, int]
     boundary_mode: str
+    #: the AccessorRead expression itself (see :attr:`CallFact.expr`)
+    expr: AccessorRead
 
     @property
     def in_window(self) -> Optional[bool]:
@@ -615,7 +620,7 @@ class CallFact:
     stmt: Optional[Stmt]
     #: the Call expression itself, so transforms can match facts back
     #: to IR nodes by identity
-    expr: Optional[Call] = None
+    expr: Call
 
     def singleton_arg(self, index: int) -> Optional[float]:
         if index < len(self.args):
@@ -633,6 +638,7 @@ class AbsintResult:
     reads: List[ReadFact]
     calls: List[CallFact]
     iterations: int
+    interp: Interpreter
 
     def proven_in_window(self) -> bool:
         return all(r.in_window is True for r in self.reads)
@@ -646,17 +652,9 @@ class AbsintResult:
 
 def _loop_var_value(interp: Interpreter, s: ForRange, env: Env
                     ) -> AbstractValue:
-    start = const_int_value(s.start)
-    stop = const_int_value(s.stop)
-    step = const_int_value(s.step)
-    if None not in (start, stop, step) and step != 0:
-        n = max(0, (stop - start + (step - (1 if step > 0 else -1)))
-                // step)
-        if n == 0:
-            return const(start, is_int=True)
-        last = start + (n - 1) * step
-        return AbstractValue(float(min(start, last)),
-                             float(max(start, last)), is_int=True)
+    trip = loop_trip(s)
+    if trip is not None:
+        return AbstractValue(float(trip[1]), float(trip[2]), is_int=True)
     # non-constant bounds: the hull of [start, stop) in either direction
     a = interp.eval(s.start, env).concrete()
     b = interp.eval(s.stop, env).concrete()
@@ -731,7 +729,7 @@ def interpret(ir: KernelIR) -> AbsintResult:
                 continue
             env = dict(env)
             for s in cfg.blocks[idx].stmts:
-                for topmost in _stmt_exprs(s):
+                for topmost in stmt_exprs(s):
                     for e in walk_exprs(topmost):
                         if isinstance(e, AccessorRead):
                             acc = accessors.get(e.accessor)
@@ -743,7 +741,7 @@ def interpret(ir: KernelIR) -> AbsintResult:
                                 dx=interp.eval(e.dx, env).concrete(),
                                 dy=interp.eval(e.dy, env).concrete(),
                                 stmt=s, window=acc.window,
-                                boundary_mode=acc.boundary_mode))
+                                boundary_mode=acc.boundary_mode, expr=e))
                         elif isinstance(e, Call):
                             try:
                                 name = resolve(e.func).name
@@ -761,7 +759,7 @@ def interpret(ir: KernelIR) -> AbsintResult:
                               env_in={i: v for i, v in env_in.items()
                                       if v is not None},
                               reads=reads, calls=calls,
-                              iterations=iterations)
+                              iterations=iterations, interp=interp)
         proved = sum(1 for r in reads if r.in_window is True)
         get_registry().count("lint.absint.reads_proved", proved)
         get_registry().count("lint.absint.reads_unproved",
@@ -769,73 +767,46 @@ def interpret(ir: KernelIR) -> AbsintResult:
         return result
 
 
-def _stmt_exprs(s: Stmt) -> List[Expr]:
-    if isinstance(s, VarDecl):
-        return [s.init]
-    if isinstance(s, Assign):
-        return [s.value]
-    if isinstance(s, If):
-        return [s.cond]
-    if isinstance(s, ForRange):
-        return [s.start, s.stop, s.step]
-    if isinstance(s, OutputWrite):
-        return [s.value]
-    return []
-
-
 # --------------------------------------------------------------------------
-# HIP4xx passes
+# HIP107 and HIP4xx passes
 # --------------------------------------------------------------------------
 
 
-def _loc(ir: KernelIR, stmt: Optional[Stmt]
-         ) -> Tuple[Optional[int], Optional[str]]:
-    lineno = getattr(stmt, "lineno", None)
-    if lineno is None:
-        return None, None
-    line = None
-    if 0 < lineno <= len(ir.source_lines):
-        line = ir.source_lines[lineno - 1]
-    return lineno, line
-
-
-def _diag(ir: KernelIR, code: str, message: str,
-          stmt: Optional[Stmt] = None, hint: Optional[str] = None,
-          severity: Optional[Severity] = None) -> Diagnostic:
-    lineno, line = _loc(ir, stmt)
-    return Diagnostic(code=code, message=message, severity=severity,
-                      kernel=ir.name, lineno=lineno, source_line=line,
-                      hint=hint)
+def _fmt_bound(x: float) -> str:
+    if math.isinf(x):
+        return "-inf" if x < 0 else "inf"
+    return f"{int(x)}" if float(x).is_integer() else f"{x:g}"
 
 
 def _fmt(v: AbstractValue) -> str:
-    def b(x: float) -> str:
-        if math.isinf(x):
-            return "-inf" if x < 0 else "inf"
-        return f"{int(x)}" if float(x).is_integer() else f"{x:g}"
-    return f"[{b(v.lo)}..{b(v.hi)}]"
+    return f"[{_fmt_bound(v.lo)}..{_fmt_bound(v.hi)}]"
 
 
 def _check_window_reads(ir: KernelIR, result: AbsintResult
                         ) -> List[Diagnostic]:
-    """HIP401 — reads whose *derived* offset interval escapes the
-    declared window.  Constant-offset reads are HIP107's territory (the
-    access analysis bounds them directly); this pass covers offsets the
-    syntactic analysis gives up on."""
-    out: List[Diagnostic] = []
+    """HIP107/HIP401 — reads whose offset interval escapes the declared
+    window.  An escaping read whose offsets the access analysis bounds
+    (constants and constant-trip loop variables, :func:`_offset_bounds`)
+    is HIP107: one finding per accessor, over the hull of its bounded
+    reads.  Every other escaping read is HIP401, at its derived
+    interval."""
     ranges_by_read: Dict[int, Dict[str, Tuple[int, int]]] = {}
     _loop_var_ranges(ir.body, {}, ranges_by_read)
-    syntactic = set()
-    for topmost in _iter_top_exprs(ir.body):
-        for e in walk_exprs(topmost):
-            if isinstance(e, AccessorRead):
-                ranges = ranges_by_read.get(id(e), {})
-                if _offset_bounds(e.dx, ranges) is not None \
-                        and _offset_bounds(e.dy, ranges) is not None:
-                    syntactic.add(_read_key(e))
-
+    hulls: Dict[str, Tuple[int, int, int, int]] = {}
+    hip107 = set()
+    hip401: List[Diagnostic] = []
     seen = set()
     for r in result.reads:
+        ranges = ranges_by_read.get(id(r.expr), {})
+        bx = _offset_bounds(r.expr.dx, ranges)
+        by = _offset_bounds(r.expr.dy, ranges)
+        if bx is not None and by is not None:
+            h = hulls.get(r.accessor, bx + by)
+            hulls[r.accessor] = (min(h[0], bx[0]), max(h[1], bx[1]),
+                                 min(h[2], by[0]), max(h[3], by[1]))
+            if r.in_window is False:
+                hip107.add(r.accessor)
+            continue
         if r.in_window is not False:
             continue
         key = (r.accessor, getattr(r.stmt, "lineno", None),
@@ -843,48 +814,57 @@ def _check_window_reads(ir: KernelIR, result: AbsintResult
         if key in seen:
             continue
         seen.add(key)
-        stmt_reads = {_read_key(e) for top_e in _stmt_exprs(r.stmt or
-                                                           OutputWrite(
-                                                               IntConst(0)))
-                      for e in walk_exprs(top_e)
-                      if isinstance(e, AccessorRead)
-                      and e.accessor == r.accessor}
-        if stmt_reads and stmt_reads <= syntactic:
-            continue       # every read here is constant-bounded: HIP107
-        undefined = r.boundary_mode == "undefined"
         message = (
             f"accessor {r.accessor!r} is read at derived offsets "
             f"{_fmt(r.dx)}x{_fmt(r.dy)} which escape its declared "
             f"{r.window[0]}x{r.window[1]} window")
-        if undefined:
-            message += ("; with undefined boundary handling this reads "
-                        "out of bounds at the image border")
-        out.append(_diag(
-            ir, "HIP401", message, r.stmt,
-            hint="shrink the offset computation or declare a "
-                 "BoundaryCondition window covering the derived range",
-            severity=Severity.ERROR if undefined else Severity.WARNING))
-    return out
+        hip401.append(_window_diag(
+            ir, "HIP401", message, r.stmt, r.boundary_mode,
+            "shrink the offset computation or declare a "
+            "BoundaryCondition window covering the derived range"))
+
+    out: List[Diagnostic] = []
+    for acc in ir.accessors:
+        if acc.name not in hip107:
+            continue
+        min_dx, max_dx, min_dy, max_dy = hulls[acc.name]
+        hx = (acc.window[0] - 1) // 2
+        hy = (acc.window[1] - 1) // 2
+        need_w = 2 * max(-min_dx, max_dx, hx) + 1
+        need_h = 2 * max(-min_dy, max_dy, hy) + 1
+        out.append(_window_diag(
+            ir, "HIP107",
+            f"accessor {acc.name!r} is read at offsets up to "
+            f"[{min_dx}..{max_dx}]x[{min_dy}..{max_dy}] "
+            f"but declares a {acc.window[0]}x{acc.window[1]} window",
+            _first_stmt_reading(ir, accessor=acc.name), acc.boundary_mode,
+            f"declare a BoundaryCondition of size {need_w}x{need_h} "
+            f"for {acc.name!r}"))
+    return out + hip401
 
 
-def _read_key(e: AccessorRead) -> Tuple[str, int]:
-    return (e.accessor, id(e))
-
-
-def _iter_top_exprs(body: Sequence[Stmt]):
-    from ..ir.visitors import walk_stmts
-    for s in walk_stmts(body):
-        yield from _stmt_exprs(s)
+def _window_diag(ir: KernelIR, code: str, message: str,
+                 stmt: Optional[Stmt], boundary_mode: str,
+                 hint: str) -> Diagnostic:
+    """An out-of-window read: an error when the accessor's boundary
+    handling is undefined (it reads out of bounds at the border)."""
+    undefined = boundary_mode == "undefined"
+    if undefined:
+        message += ("; with undefined boundary handling this reads "
+                    "out of bounds at the image border")
+    return _diag(ir, code, message, stmt, hint=hint,
+                 severity=Severity.ERROR if undefined else Severity.WARNING)
 
 
 def _is_div(e: Expr) -> bool:
     return isinstance(e, BinOp) and e.op in ("/", "%")
 
 
-def _check_hazards(ir: KernelIR, result: AbsintResult,
-                   interp: Interpreter) -> List[Diagnostic]:
+def _check_hazards(ir: KernelIR, result: AbsintResult
+                   ) -> List[Diagnostic]:
     """HIP402/HIP403/HIP404 — expression-level range hazards, evaluated
     against the converged environments."""
+    interp = result.interp
     out: List[Diagnostic] = []
     for idx in result.cfg.reverse_postorder():
         env = result.env_in.get(idx)
@@ -892,7 +872,7 @@ def _check_hazards(ir: KernelIR, result: AbsintResult,
             continue
         env = dict(env)
         for s in result.cfg.blocks[idx].stmts:
-            for topmost in _stmt_exprs(s):
+            for topmost in stmt_exprs(s):
                 for e in walk_exprs(topmost):
                     out.extend(_expr_hazards(ir, interp, e, env, s))
             env = _transfer_block(interp, [s], env)
@@ -976,11 +956,11 @@ def _expr_hazards(ir: KernelIR, interp: Interpreter, e: Expr,
 
 
 def range_passes(ir: KernelIR) -> List[Diagnostic]:
-    """All HIP4xx passes over one (preferably typed) kernel IR."""
-    result = interpret(ir)
-    interp = Interpreter(ir)
+    """HIP107 and the HIP4xx passes over one typed kernel IR, all read
+    from its cached fixpoint (:meth:`KernelIR.absint`)."""
+    result = ir.absint()
     diags = _check_window_reads(ir, result)
-    diags += _check_hazards(ir, result, interp)
+    diags += _check_hazards(ir, result)
     for d in diags:
         get_registry().count(f"lint.findings.{d.code.lower()}")
     return diags

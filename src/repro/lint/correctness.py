@@ -3,15 +3,17 @@
 These run on *unchecked* IR (straight out of the frontend) so that the
 CLI can collect every finding instead of stopping at the typechecker's
 first exception; the always-on compile-time verify runs them on the same
-unchecked IR before typechecking.  See ``docs/DIAGNOSTICS.md`` for the
-catalogue with minimal triggering kernels.
+unchecked IR before typechecking.  HIP107 (reads outside the declared
+window) is not here: it comes from the abstract interpreter's read facts
+over the typed IR (:func:`repro.lint.absint.range_passes`).  See
+``docs/DIAGNOSTICS.md`` for the catalogue with minimal triggering
+kernels.
 """
 
 from __future__ import annotations
 
 from typing import List, Optional, Sequence, Set, Tuple
 
-from ..ir.analysis import analyze_accesses
 from ..ir.cfg import build_cfg
 from ..ir.nodes import (
     AccessorRead,
@@ -182,45 +184,6 @@ def check_output_paths(ir: KernelIR) -> List[Diagnostic]:
     return out
 
 
-# -- HIP107: reads outside the declared boundary window --------------------
-
-
-def check_window_bounds(ir: KernelIR) -> List[Diagnostic]:
-    out: List[Diagnostic] = []
-    infos = analyze_accesses(ir)
-    for acc in ir.accessors:
-        if acc.interpolation is not None:
-            continue    # resampling accessors use absolute coordinates
-        info = infos.get(acc.name)
-        if info is None or not info.is_read:
-            continue
-        if None in (info.min_dx, info.max_dx, info.min_dy, info.max_dy):
-            continue    # statically unbounded: HIP204's job
-        hx = (acc.window[0] - 1) // 2
-        hy = (acc.window[1] - 1) // 2
-        over_x = max(-info.min_dx - hx, info.max_dx - hx, 0)
-        over_y = max(-info.min_dy - hy, info.max_dy - hy, 0)
-        if not over_x and not over_y:
-            continue
-        undefined = acc.boundary_mode == "undefined"
-        need_w = 2 * max(hx + over_x, hx) + 1
-        need_h = 2 * max(hy + over_y, hy) + 1
-        message = (
-            f"accessor {acc.name!r} is read at offsets up to "
-            f"[{info.min_dx}..{info.max_dx}]x[{info.min_dy}..{info.max_dy}] "
-            f"but declares a {acc.window[0]}x{acc.window[1]} window")
-        if undefined:
-            message += ("; with undefined boundary handling this reads "
-                        "out of bounds at the image border")
-        out.append(_diag(
-            ir, "HIP107", message,
-            _first_stmt_reading(ir, accessor=acc.name),
-            hint=f"declare a BoundaryCondition of size "
-                 f"{need_w}x{need_h} for {acc.name!r}",
-            severity=Severity.ERROR if undefined else Severity.WARNING))
-    return out
-
-
 # -- HIP108: implicit float-to-int narrowing -------------------------------
 
 
@@ -285,7 +248,6 @@ def correctness_passes(ir: KernelIR,
     out += check_dataflow(ir)
     out += check_unused(ir)
     out += check_output_paths(ir)
-    out += check_window_bounds(ir)
     if typed is not None:
         out += check_narrowing(ir, typed)
     return out

@@ -2,14 +2,15 @@
 
 A *footprint* is, per accessor, the interval hull of every read offset
 relative to the output pixel — the exact halo a node needs from its
-producer.  It is computed from the :class:`~repro.lint.absint.ReadFact`
-set of a fixpoint run, so masks, separable loop offsets and derived
-index arithmetic are all covered by the same interval reasoning.
+producer.  It is folded from the :class:`~repro.lint.absint.ReadFact`
+set of the IR's one cached fixpoint run (``KernelIR.absint()``), so
+masks, separable loop offsets and derived index arithmetic are all
+covered by the same interval reasoning.
 
 Consumers:
 
 * ``KernelIR.footprint()`` exposes it as the stable per-kernel API
-  (cached on the IR instance);
+  (``footprint_from_result(ir, ir.absint())``);
 * :mod:`repro.graph.fusion` uses footprints to decide point-op fusion
   and to explain refusals (HIP302/HIP502);
 * :mod:`repro.lint.graphlint` emits the HIP501 halo-extent notes;
@@ -25,8 +26,7 @@ import math
 from typing import Dict, Optional, Tuple
 
 from ..ir.nodes import KernelIR
-from ..obs import span
-from .absint import AbsintResult, interpret
+from .absint import AbsintResult
 
 
 @dataclasses.dataclass(frozen=True)
@@ -196,8 +196,3 @@ def footprint_from_result(ir: KernelIR, result: AbsintResult
                 hull[0], hull[1], hull[2], hull[3], proven=True))
     return KernelFootprint(kernel=ir.name, accessors=tuple(accessors))
 
-
-def compute_footprint(ir: KernelIR) -> KernelFootprint:
-    """Run the abstract interpreter and derive *ir*'s footprint."""
-    with span("absint.footprint", kernel=ir.name):
-        return footprint_from_result(ir, interpret(ir))

@@ -144,14 +144,6 @@ EXACT_POW_EXPONENTS = frozenset({0.0, 0.5, 1.0, 2.0, -1.0})
 # --------------------------------------------------------------------------
 
 
-def _fmt_bound(v: float) -> str:
-    if v == float("-inf"):
-        return "-inf"
-    if v == float("inf"):
-        return "inf"
-    return f"{int(v)}" if float(v).is_integer() else f"{v:g}"
-
-
 def native_ineligibility(node) -> Optional[str]:
     """Why *node* cannot join the native tier, or None when it can.
 
@@ -162,7 +154,7 @@ def native_ineligibility(node) -> Optional[str]:
     rejected here runs through the simulator instead, keeping hybrid
     output byte-identical by construction.
     """
-    from ..lint.absint import interpret
+    from ..lint.absint import _fmt, _fmt_bound
 
     if node.compiled is None:
         raise CodegenError(
@@ -185,18 +177,15 @@ def native_ineligibility(node) -> Optional[str]:
             return f"dynamic mask {mask.name!r}"
 
     try:
-        result = interpret(ir)
+        result = ir.absint()
     except Exception as exc:
         return (f"abstract interpreter failed: "
                 f"{type(exc).__name__}: {exc}")
     for r in result.reads:
         if r.in_window is not True:
-            dx, dy = r.dx, r.dy
             return (f"unproven access: accessor {r.accessor!r} offsets "
-                    f"[{_fmt_bound(dx.lo)}..{_fmt_bound(dx.hi)}]x"
-                    f"[{_fmt_bound(dy.lo)}..{_fmt_bound(dy.hi)}] not "
-                    f"proven inside its {r.window[0]}x{r.window[1]} "
-                    f"window")
+                    f"{_fmt(r.dx)}x{_fmt(r.dy)} not proven inside its "
+                    f"{r.window[0]}x{r.window[1]} window")
         if r.boundary_mode == "undefined" and not (
                 r.dx.lo >= 0 >= r.dx.hi and r.dy.lo >= 0 >= r.dy.hi):
             # the C lowering reads raw memory where the simulator
@@ -304,13 +293,12 @@ def _strength_reduce_pow(ir: KernelIR) -> KernelIR:
     This is what makes the prove-based gate's ``pow`` admission sound:
     the emitted C never contains ``powf`` (which is ULPs away from
     NumPy), only operations that are IEEE-exact on both sides.  The
-    rewrite is top-down so the interpreter's fact-to-expression
-    identity map stays valid for nested calls."""
-    from ..lint.absint import interpret
-
+    facts come from *ir*'s cached fixpoint — the one the native gate
+    read — and match back to its expressions by identity; the rewrite
+    is top-down so that map stays valid for nested calls."""
     exponents: Dict[int, float] = {}
-    for c in interpret(ir).calls:
-        if c.func == "pow" and c.expr is not None:
+    for c in ir.absint().calls:
+        if c.func == "pow":
             exponent = c.singleton_arg(1)
             if exponent in EXACT_POW_EXPONENTS:
                 exponents[id(c.expr)] = exponent
@@ -365,9 +353,9 @@ def _strength_reduce_pow(ir: KernelIR) -> KernelIR:
 def _lower_node(node, index: int) -> NodeLowering:
     """Namespace one node's IR into the shared TU and lower it."""
     prefix = f"g{index}_"
-    renamed, acc_map = _renamed_ir(node.compiled.ir, prefix)
+    reduced = _strength_reduce_pow(node.compiled.ir)
+    renamed, acc_map = _renamed_ir(reduced, prefix)
     renamed = _rename_masks(renamed, prefix)
-    renamed = _strength_reduce_pow(renamed)
     renamed = dataclasses.replace(
         renamed, name=_sanitize(f"n{index}_{node.compiled.ir.name}"))
     acc_objs = {new: node.accessor_objs[old]

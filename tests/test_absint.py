@@ -7,9 +7,11 @@ fingerprint-keyed lint-result cache."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -25,8 +27,11 @@ from repro import (
 )
 from repro.dsl.math import sin, sqrt
 from repro.frontend.parser import parse_kernel
+from repro.ir.nodes import ForRange
 from repro.ir.typecheck import typecheck_kernel
 from repro.lint import LintReport, Severity, interpret, lint_kernel
+
+from .helpers import random_image
 
 W, H = 16, 12
 
@@ -438,3 +443,50 @@ class TestLintCache:
         assert [d.code for d in first.diagnostics] == \
             [d.code for d in second.diagnostics]
         assert cache.stats.lint_hits >= 1
+
+
+# -- one cached fixpoint per IR instance ------------------------------------
+
+
+class TestAbsintCache:
+    def test_one_result_per_instance(self):
+        ir = _ir(EscapeViaLocal())
+        result = ir.absint()
+        assert ir.absint() is result
+        assert ir.footprint().accessor("inp").lo_dx == -2
+
+    def test_replaced_ir_gets_fresh_result(self):
+        ir = _ir(EscapeViaLocal())
+        result = ir.absint()
+        assert result.reads
+        # drop the loop holding the read: the copy must not see the
+        # original's facts
+        body = [s for s in ir.body if not isinstance(s, ForRange)]
+        rewritten = dataclasses.replace(ir, body=body)
+        assert rewritten.absint() is not result
+        assert rewritten.absint().reads == []
+        assert ir.absint() is result
+
+    @pytest.mark.requires_cc
+    def test_cold_prepare_interprets_each_instance_once(self, monkeypatch):
+        # lint, native gate and pow strength reduction all read the one
+        # cached fixpoint of each IR instance
+        from repro.graph.scheduler import prepare_graph
+        from repro.lint import absint
+        from repro.serve.planner import plan_request
+
+        runs = []
+        real = absint.interpret
+
+        def counting(ir):
+            runs.append(ir)
+            return real(ir)
+
+        monkeypatch.setattr(absint, "interpret", counting)
+        plan = plan_request({"pipeline": "edge"},
+                            random_image(128, 128, seed=1))
+        prepared = prepare_graph(plan.graph, cache=CompilationCache(),
+                                 workers=1, engine="auto")
+        assert prepared.native_module is not None
+        assert runs
+        assert len(runs) == len({id(ir) for ir in runs})

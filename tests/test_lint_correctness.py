@@ -180,6 +180,20 @@ class OobClamp(Kernel):
         self.output(self.inp(2, 0))
 
 
+class OobClampMixed(Kernel):
+    """A literal read outside the window next to a data-dependent read
+    of the same accessor, in the same statement."""
+
+    def __init__(self):
+        super().__init__(_space())
+        self.inp = _acc(3, 3, Boundary.CLAMP)
+        self.add_accessor(self.inp)
+
+    def kernel(self):
+        k = int(self.inp(0, 0))
+        self.output(self.inp(2, 0) + self.inp(k, 0))
+
+
 class NarrowLocal(Kernel):
     def __init__(self):
         super().__init__(_space())
@@ -344,6 +358,21 @@ class TestHip107:
 
     def test_negative(self):
         assert "HIP107" not in codes(lint_kernel(Clean()))
+
+    def test_literal_read_next_to_unbounded_read(self):
+        # each escaping read is classified on its own: the literal read
+        # is HIP107 even though another read of the accessor is
+        # unbounded; only the data-dependent read is HIP401
+        diags = lint_kernel(OobClampMixed())
+        hip107 = [d for d in diags if d.code == "HIP107"]
+        assert len(hip107) == 1
+        assert hip107[0].severity == Severity.WARNING
+        assert "[0..2]x[0..0]" in hip107[0].message
+        assert "5x3" in hip107[0].hint
+        hip401 = [d.message for d in diags if d.code == "HIP401"]
+        assert hip401 == ["accessor 'inp' is read at derived offsets "
+                          "[-2147483648..2147483647]x[0..0] which escape "
+                          "its declared 3x3 window"]
 
 
 class TestHip108:

@@ -14,6 +14,7 @@ compiler-version change misses the cache.
 """
 
 import ctypes
+import dataclasses
 import os
 
 import numpy as np
@@ -350,18 +351,30 @@ def test_ineligibility_on_interpreter_failure(native_env, monkeypatch):
         return plan.graph, plan.output
 
     # compile first: kernel verification runs the interpreter too, and
-    # the cached compiles below must not reach it
+    # the cached compiles below must not reach it (their lint is memoised)
     graph, _ = build()
     compile_graph(graph, cache=cache, workers=1)
-    victim = next(n for n in graph.nodes if "gaussian" in n.name)
+    victim_name = next(n.compiled.ir.name for n in graph.nodes
+                       if "gaussian" in n.name)
     real = absint.interpret
+    real_frontend_get = cache.frontend_get
 
     def interpret(ir, *args, **kwargs):
-        if ir.name == victim.compiled.ir.name:
+        if ir.name == victim_name:
             raise RuntimeError("injected interpreter failure")
         return real(ir, *args, **kwargs)
 
+    def frontend_get(fingerprint):
+        # a fresh IR instance per compile: the fixpoint cached on the
+        # memoised IR above must not answer for it
+        hit = real_frontend_get(fingerprint)
+        return hit and (hit[0], dataclasses.replace(hit[1]))
+
     monkeypatch.setattr(absint, "interpret", interpret)
+    monkeypatch.setattr(cache, "frontend_get", frontend_get)
+    graph, _ = build()
+    compile_graph(graph, cache=cache, workers=1)
+    victim = next(n for n in graph.nodes if "gaussian" in n.name)
     reason = native_ineligibility(victim)
     assert reason == ("abstract interpreter failed: "
                       "RuntimeError: injected interpreter failure")
