@@ -54,10 +54,7 @@ def _boot_inprocess(workers: int, engine: str):
     os.environ["REPRO_NATIVE_DIR"] = tempfile.mkdtemp(
         prefix="bench_serve_native_")
 
-    # a short window still coalesces the deliberately-concurrent dedup
-    # burst but keeps the sequential warm phase honest about latency
-    config = ServeConfig(workers=workers, batch_window_ms=1.0,
-                         engine=engine)
+    config = ServeConfig(workers=workers, engine=engine)
     server = create_server(port=0, config=config,
                            cache=CompilationCache())
     thread = threading.Thread(target=server.serve_forever, daemon=True)
@@ -210,8 +207,9 @@ def report(headline) -> None:
     # path must never invoke the compiler or grow an arena, and a
     # concurrent identical burst must coalesce (the *exactly one
     # execution* version of this claim is pinned in tests/test_serve.py
-    # with a deterministic batching window; over a real socket the
-    # burst can straddle windows, so only require that dedup happened)
+    # by holding the worker; over a real socket a copy that arrives
+    # after the execution finished runs again, so only require that
+    # dedup happened)
     assert headline["warm_cache_misses"] == 0, \
         f"warm path compiled: {headline['warm_cache_misses']} misses"
     assert headline["warm_pool_allocs"] == 0, \

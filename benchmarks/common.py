@@ -53,7 +53,7 @@ def write_bench_json(name: str, headline: Dict[str, float],
     answers "where did the time go" without rerunning under a profiler.
     Every document is stamped with
     :data:`repro.obs.compare.BENCH_SCHEMA_VERSION` — the perf sentinel
-    (``repro perf`` / ``scripts/bench_compare.py``) refuses documents
+    (``repro perf``) refuses documents
     whose version does not match, so a stale committed baseline can
     never silently pass against a fresh run.
     Directory precedence: *out_dir* arg, ``$BENCH_JSON_DIR``, then the

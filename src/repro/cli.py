@@ -447,7 +447,6 @@ def cmd_serve(args) -> int:
 
     config = ServeConfig(
         workers=args.workers,
-        batch_window_ms=args.batch_window_ms,
         queue_limit=args.queue_limit,
         default_timeout_ms=args.timeout_ms,
         engine=args.engine,
@@ -701,15 +700,10 @@ def build_parser() -> argparse.ArgumentParser:
                         "printed on the first stdout line)")
     p.add_argument("--workers", type=int, default=2,
                    help="request-executing worker threads")
-    p.add_argument("--batch-window-ms", type=float, default=4.0,
-                   dest="batch_window_ms",
-                   help="how long to keep collecting requests after "
-                        "the first one arrives so identical concurrent "
-                        "requests share one execution")
     p.add_argument("--queue-limit", type=int, default=64,
                    dest="queue_limit",
                    help="shed requests (HTTP 429) beyond this many "
-                        "queued")
+                        "waiting")
     p.add_argument("--timeout-ms", type=float, default=30000.0,
                    dest="timeout_ms",
                    help="default per-request deadline")

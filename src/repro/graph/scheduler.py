@@ -41,11 +41,11 @@ import threading
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Dict, List, Optional, Tuple, Union
 
-from ..cache.store import CompilationCache, get_default_cache
+from ..cache.store import CompilationCache
 from ..errors import CodegenError, GraphError
 from ..obs import child_of, current_id, get_registry, span
 from ..obs.hist import observe
-from ..runtime.compile import compile_ir, compile_kernel
+from ..runtime.compile import _resolve_cache, compile_ir, compile_kernel
 from ..sim.launch import padding_alignment
 from .builder import GraphNode, PipelineGraph
 from .fusion import FusionStats, fuse_point_ops
@@ -53,15 +53,6 @@ from .pool import BufferPool, PoolStats
 from .report import GraphReport, NodeReport
 
 ENGINES = ("sim", "native", "auto")
-
-
-def _resolve_cache(cache: Union[None, bool, CompilationCache]
-                   ) -> Optional[CompilationCache]:
-    if cache is None or cache is False:
-        return None
-    if cache is True:
-        return get_default_cache()
-    return cache
 
 
 def _resolve_pool(pool: Union[bool, BufferPool]) -> Optional[BufferPool]:

@@ -7,7 +7,7 @@ compares a freshly generated document against a committed one, field by
 field, and reports **regressions** — the closing-the-loop step that
 makes a silent warm-path slowdown impossible to merge: CI runs the
 benchmarks, calls this comparison with generous noise thresholds, and
-fails on any regression (``scripts/bench_compare.py`` / ``repro perf``).
+fails on any regression (``repro perf``).
 
 What is compared:
 

@@ -38,10 +38,10 @@ from typing import Any, Dict, Iterator, Optional, TextIO
 #: ``log_event`` call site uses one of these names; the serve tests and
 #: the log-validating assertions reject events outside the catalogue.
 EVENTS = (
-    "request.received",    # accepted into the queue
+    "request.received",    # accepted at intake
     "request.shed",        # refused: queue at capacity (429)
     "request.rejected",    # refused: draining (503) or malformed (400)
-    "request.grouped",     # dispatcher coalesced a fingerprint group
+    "request.grouped",     # opened or joined its fingerprint's group
     "request.dispatched",  # a worker started executing the group
     "request.completed",   # a result (success or error doc) delivered
     "request.timeout",     # waiter deadline expired (504)

@@ -10,8 +10,8 @@ process:
   image payload encoding and the request fingerprint used for dedup;
 * :mod:`repro.serve.planner` — turns a request (named pipeline or
   inline kernel chain) into a :class:`~repro.graph.PipelineGraph`;
-* :mod:`repro.serve.service` — the request queue: batching window,
-  fingerprint dedup, bounded queue with load shedding, per-request
+* :mod:`repro.serve.service` — the request queue: fingerprint dedup
+  at intake, bounded queue with load shedding, per-request
   timeouts, a worker pool sharing one process-wide
   :class:`~repro.cache.CompilationCache` and per-worker
   :class:`~repro.graph.pool.BufferPool` arenas reset between requests;

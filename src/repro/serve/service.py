@@ -1,19 +1,23 @@
-"""The serve request engine: queue, batching window, dedup, workers.
+"""The serve request engine: intake dedup, a bounded work queue, workers.
 
 Lifecycle of one request::
 
-    handle() -> submit() -> [bounded queue] -> dispatcher thread
-        -> batching window -> group by fingerprint -> worker pool
-        -> plan + execute (once per group) -> wake every waiter
+    handle() -> submit() -> open or join the fingerprint's group
+        -> work deque -> worker -> plan + execute (once per group)
+        -> close the group -> wake every member
 
-The **dispatcher** is a single thread that sleeps until work arrives,
-keeps collecting for ``batch_window_ms`` so concurrent identical
-requests land in the same batch, then groups the drained batch by
-:func:`~repro.serve.protocol.request_fingerprint`.  Each group is
-handed to the worker pool as *one* unit: it plans once, executes once,
-and every member request receives the same response document
+:meth:`ServeService.submit` looks the request's
+:func:`~repro.serve.protocol.request_fingerprint` up in the map of
+*open* groups.  A group is open from the moment its first request is
+submitted until its worker has the result, queued or running alike, so
+an identical request that arrives at any point in that span joins it
+instead of executing again.  Otherwise the request opens a new group
+and appends it to the work deque the workers pop.  The worker removes
+the group from the map, under the service lock, once it has the
+result: every member present then receives the same response document
 (``serve.dedup_hits`` counts the members that got an answer without an
-execution of their own).
+execution of their own), and a later identical request opens a new
+group.
 
 Every worker thread owns a :class:`~repro.graph.pool.BufferPool` arena
 (thread-local) that is :meth:`~repro.graph.pool.BufferPool.reset`
@@ -40,7 +44,7 @@ Robustness is explicit state, not best effort:
   :class:`RequestTimedOut` (HTTP 504); a group whose waiters have *all*
   given up before execution starts is cancelled without executing;
 * :meth:`ServeService.drain` (SIGTERM) stops intake, rejects whatever
-  is still queued as retriable (HTTP 503), waits for in-flight groups
+  is still queued as retriable (HTTP 503), waits for running groups
   to finish, and leaves the cache/arenas intact for inspection.
 """
 
@@ -112,25 +116,15 @@ class ServeConfig:
 
     #: worker threads executing request groups
     workers: int = 2
-    #: how long the dispatcher keeps collecting after the first request
-    #: of a batch arrives; 0 disables coalescing (every request is its
-    #: own group unless already queued together)
-    batch_window_ms: float = 4.0
-    #: submissions beyond this many pending requests — awaiting
-    #: dispatch or awaiting a worker — are shed (429)
+    #: submissions beyond this many waiting requests — members of a
+    #: queued group, or joined to a running one — are shed (429)
     queue_limit: int = 64
     #: deadline for requests that do not carry ``timeout_ms``
     default_timeout_ms: float = 30000.0
     #: engine for requests that do not name one
     engine: str = "auto"
-    #: intra-graph scheduler workers; 1 keeps each request serial and
-    #: leaves concurrency to the request-level worker pool
-    graph_workers: int = 1
     #: Retry-After seconds advertised on 429/503
     retry_after_s: float = 1.0
-    #: largest fingerprint-group batch one dispatch drains (backstop so
-    #: one window cannot monopolise the pool)
-    max_batch: int = 256
 
 
 class ServeStats:
@@ -224,6 +218,17 @@ class _Pending:
         self.done.set()
 
 
+@dataclasses.dataclass
+class _Group:
+    """The requests of one fingerprint while its execution is open,
+    queued or running; they share one execution and one response."""
+
+    fingerprint: str
+    members: List[_Pending] = dataclasses.field(default_factory=list)
+    #: members present when a worker took the group; 0 while queued
+    taken: int = 0
+
+
 class ServeService:
     """The long-running request engine behind the HTTP front door."""
 
@@ -235,23 +240,21 @@ class ServeService:
             cache = get_default_cache()
         self.cache = cache
         self.stats = ServeStats()
-        self._queue: Deque[_Pending] = collections.deque()
         self._lock = threading.Lock()
-        # two conditions on the one lock, so a notify can never be
-        # consumed by the wrong kind of waiter: only the dispatcher
-        # waits on _queue_wake (intake), only workers wait on
-        # _work_wake (grouped work)
-        self._queue_wake = threading.Condition(self._lock)
+        # two conditions on the one lock: workers wait on _work_wake
+        # (queued groups), drain() waits on _idle (running groups)
         self._work_wake = threading.Condition(self._lock)
+        self._idle = threading.Condition(self._lock)
         self._draining = False
         self._stopped = False
+        #: groups a worker has taken and not yet answered
         self._inflight = 0
-        self._idle = threading.Condition(self._lock)
         self._worker_local = threading.local()
         self._pools: List[BufferPool] = []
         self._workers: List[threading.Thread] = []
-        self._work: Deque[List[_Pending]] = collections.deque()
-        self._dispatcher: Optional[threading.Thread] = None
+        #: every open group by fingerprint; queued ones are also in _work
+        self._open: Dict[str, _Group] = {}
+        self._work: Deque[_Group] = collections.deque()
         self.started_at_unix = time.time()
         self._started_monotonic = time.monotonic()
         self._engine_fp: Optional[str] = None
@@ -260,10 +263,6 @@ class ServeService:
     # -- lifecycle -----------------------------------------------------------
 
     def start(self) -> "ServeService":
-        self._dispatcher = threading.Thread(
-            target=self._dispatch_loop, name="serve-dispatch",
-            daemon=True)
-        self._dispatcher.start()
         for i in range(max(1, self.config.workers)):
             t = threading.Thread(target=self._worker_loop,
                                  name=f"serve-worker-{i}", daemon=True)
@@ -289,16 +288,17 @@ class ServeService:
         return self
 
     def drain(self, timeout: Optional[float] = None) -> bool:
-        """Graceful shutdown: reject queued work as retriable, let
-        in-flight groups finish.  Returns True when fully drained."""
+        """Graceful shutdown: reject queued groups as retriable, let
+        running groups finish.  Returns True when fully drained."""
+        flushed: List[_Pending] = []
         with self._lock:
             first = not self._draining
             if first:
                 self._draining = True
-                flushed = list(self._queue)
-                self._queue.clear()
-            else:
-                flushed = []
+                for group in self._work:
+                    del self._open[group.fingerprint]
+                    flushed.extend(group.members)
+                self._work.clear()
         if first:
             log_event("serve.draining", flushed=len(flushed))
         for pending in flushed:
@@ -311,7 +311,7 @@ class ServeService:
         deadline = (None if timeout is None
                     else time.monotonic() + timeout)
         with self._idle:
-            while self._inflight or self._work or self._queue:
+            while self._inflight:
                 remaining = (None if deadline is None
                              else deadline - time.monotonic())
                 if remaining is not None and remaining <= 0:
@@ -319,7 +319,6 @@ class ServeService:
                 self._idle.wait(timeout=remaining)
         with self._lock:
             self._stopped = True
-            self._queue_wake.notify_all()
             self._work_wake.notify_all()
         return True
 
@@ -361,7 +360,7 @@ class ServeService:
         """The canonical ``serve.*`` metrics namespace."""
         counters = self.stats.as_dict()
         with self._lock:
-            depth = len(self._queue) + len(self._work)
+            depth = self._waiting()
         out = {f"serve.{k}": v for k, v in counters.items()}
         out["serve.queue_depth"] = depth
         return out
@@ -376,14 +375,23 @@ class ServeService:
                 total[key] = total.get(key, 0) + value
         return total
 
+    def _waiting(self) -> int:
+        """Requests no execution has taken up yet: every member of a
+        queued group, and each member that joined a running group after
+        its worker took it.  The caller holds the lock."""
+        return sum(len(group.members) - group.taken
+                   for group in self._open.values())
+
     # -- intake --------------------------------------------------------------
 
     def submit(self, body: Dict[str, Any],
                request_id: Optional[str] = None) -> _Pending:
-        """Fingerprint + enqueue *body*; raises :class:`ServeRejected`
-        subclasses (shed/drain) or :class:`ProtocolError` (400).  The
-        *request_id* (minted here when the caller did not) rides the
-        raised documents too, so even a shed request is greppable."""
+        """Fingerprint *body* and join the open group of that
+        fingerprint, or open one and queue it for a worker.  Raises
+        :class:`ServeRejected` subclasses (shed/drain) or
+        :class:`ProtocolError` (400).  The *request_id* (minted here
+        when the caller did not) rides the raised documents too, so even
+        a shed request is greppable."""
         if request_id is None:
             request_id = new_request_id()
         fingerprint, _ = request_fingerprint(
@@ -406,20 +414,31 @@ class ServeService:
                         "server is draining; retry elsewhere",
                         retriable=True,
                         retry_after=self.config.retry_after_s)
-                # backpressure counts everything awaiting a worker, not
-                # just the pre-dispatch queue: with a zero batching
-                # window the dispatcher drains _queue into _work almost
-                # instantly, and sheds must engage on the same depth
-                # /metrics reports
-                if (len(self._queue) + len(self._work)
-                        >= self.config.queue_limit):
+                if self._waiting() >= self.config.queue_limit:
                     self.stats.bump("shed")
                     raise QueueFull(
                         f"queue is at its {self.config.queue_limit}"
                         f"-request limit",
                         retry_after=self.config.retry_after_s)
-                self._queue.append(pending)
-                self._queue_wake.notify()
+                group = self._open.get(fingerprint)
+                if group is None:
+                    group = self._open[fingerprint] = _Group(fingerprint)
+                    self._work.append(group)
+                    self._work_wake.notify()
+                group.members.append(pending)
+                # logged under the lock: once it is released a worker
+                # may dispatch or even answer this request
+                log_event("request.received", request_id=request_id,
+                          fingerprint=fingerprint[:16])
+                log_event("request.grouped", request_id=request_id,
+                          fingerprint=fingerprint[:16],
+                          group=len(group.members))
+                if group.taken:
+                    # joined a running execution: it is dispatched now,
+                    # with no queue wait to record
+                    log_event("request.dispatched", request_id=request_id,
+                              fingerprint=fingerprint[:16],
+                              group=len(group.members))
         except ServeRejected as exc:
             exc.doc["request_id"] = request_id
             log_event("request.shed" if isinstance(exc, QueueFull)
@@ -428,8 +447,6 @@ class ServeService:
                       fingerprint=fingerprint[:16], code=exc.code)
             raise
         self.stats.bump("requests")
-        log_event("request.received", request_id=request_id,
-                  fingerprint=fingerprint[:16])
         return pending
 
     def handle(self, body: Any) -> Tuple[int, Dict[str, Any]]:
@@ -470,49 +487,7 @@ class ServeService:
         assert pending.result is not None
         return pending.result
 
-    # -- dispatcher ----------------------------------------------------------
-
-    def _dispatch_loop(self) -> None:
-        while True:
-            with self._lock:
-                while not self._queue and not self._stopped:
-                    self._queue_wake.wait()
-                if self._stopped and not self._queue:
-                    return
-            # first request seen: hold the batching window open so
-            # concurrent identical requests coalesce into one group
-            window_s = self.config.batch_window_ms / 1e3
-            if window_s > 0:
-                time.sleep(window_s)
-            # pop, group and publish under ONE lock hold: every pending
-            # request is visible in _queue, _work or _inflight at all
-            # times, so drain()'s idle predicate can never observe a
-            # clean state while requests sit in a dispatcher local
-            with self._lock:
-                batch: List[_Pending] = []
-                while self._queue and len(batch) < self.config.max_batch:
-                    batch.append(self._queue.popleft())
-                if not batch:
-                    continue
-                groups: Dict[str, List[_Pending]] = {}
-                for pending in batch:
-                    groups.setdefault(pending.fingerprint,
-                                      []).append(pending)
-                for group in groups.values():
-                    if len(group) > 1:
-                        self.stats.bump("batched", len(group))
-                        self.stats.bump("dedup_hits", len(group) - 1)
-                    self._inflight += 1
-                    self._work.append(group)
-                self._work_wake.notify_all()
-                published = list(groups.values())
-            # observe/log outside the lock: sinks take their own locks
-            for group in published:
-                observe("serve.hist.batch_size", len(group))
-                log_event("request.grouped",
-                          request_id=group[0].request_id,
-                          fingerprint=group[0].fingerprint[:16],
-                          group=len(group))
+    # -- workers -------------------------------------------------------------
 
     def _worker_loop(self) -> None:
         while True:
@@ -522,6 +497,23 @@ class ServeService:
                 if self._stopped and not self._work:
                     return
                 group = self._work.popleft()
+                cancelled = all(p.abandoned for p in group.members)
+                if cancelled:
+                    # closed in the hold that saw it abandoned, so no
+                    # request can join a group nobody will execute
+                    del self._open[group.fingerprint]
+                else:
+                    group.taken = len(group.members)
+                    self._inflight += 1
+            if cancelled:
+                # every waiter gave up during the queue wait: executing
+                # would burn a worker on an answer nobody reads
+                self.stats.bump("cancelled", len(group.members))
+                for pending in group.members:
+                    log_event("request.cancelled",
+                              request_id=pending.request_id,
+                              fingerprint=pending.fingerprint[:16])
+                continue
             try:
                 self._run_group(group)
             finally:
@@ -559,43 +551,39 @@ class ServeService:
                   http_status=status, request_ms=round(request_ms, 3))
         pending.finish(status, doc)
 
-    def _run_group(self, group: List[_Pending]) -> None:
-        if all(p.abandoned for p in group):
-            # every waiter gave up during the queue wait: executing
-            # would burn a worker on an answer nobody reads
-            self.stats.bump("cancelled", len(group))
-            for pending in group:
-                log_event("request.cancelled",
-                          request_id=pending.request_id,
-                          fingerprint=pending.fingerprint[:16])
-            return
-        lead = group[0]
+    def _run_group(self, group: _Group) -> None:
+        lead = group.members[0]
         now = time.monotonic()
-        for pending in group:
+        for pending in group.members[:group.taken]:
             observe("serve.hist.queue_wait_ms",
                     (now - pending.submitted_at) * 1e3)
             log_event("request.dispatched",
                       request_id=pending.request_id,
                       fingerprint=pending.fingerprint[:16],
-                      group=len(group))
+                      group=group.taken)
         try:
-            status, doc = self._execute(lead.body, len(group),
-                                        lead.fingerprint,
+            status, doc = self._execute(lead.body, lead.fingerprint,
                                         lead.request_id)
         except ProtocolError as exc:
             status, doc = 400, error_response("bad_request", str(exc))
-            self.stats.bump("errors", len(group))
         except Exception as exc:    # noqa: BLE001 - one bad request
             # must never take down the worker thread
             status, doc = 500, error_response(
                 "internal", f"{type(exc).__name__}: {exc}")
-            self.stats.bump("errors", len(group))
-        else:
-            if status == 200:
-                self.stats.bump("completed", len(group))
-            else:
-                self.stats.bump("errors", len(group))
-        for pending in group:
+        # close the group: a later identical request opens a new one,
+        # and the members present now are all it will ever have
+        with self._lock:
+            del self._open[group.fingerprint]
+        members = group.members
+        if len(members) > 1:
+            self.stats.bump("batched", len(members))
+            self.stats.bump("dedup_hits", len(members) - 1)
+        observe("serve.hist.batch_size", len(members))
+        self.stats.bump("completed" if status == 200 else "errors",
+                        len(members))
+        if status == 200:
+            doc["meta"]["group_size"] = len(members)
+        for pending in members:
             self._deliver(pending, status, doc)
 
     def _prepared_key(self, body: Dict[str, Any], data) -> str:
@@ -607,8 +595,8 @@ class ServeService:
              str(data.dtype), self.engine_fingerprint()],
             sort_keys=True, separators=(",", ":"))
 
-    def _execute(self, body: Dict[str, Any], group_size: int,
-                 fingerprint: str, lead_request_id: str = ""
+    def _execute(self, body: Dict[str, Any], fingerprint: str,
+                 lead_request_id: str = ""
                  ) -> Tuple[int, Dict[str, Any]]:
         """Plan and run one request group on this worker's warm arena.
 
@@ -625,7 +613,7 @@ class ServeService:
         violate the trace validator's containment rule.
         """
         with span("serve.plan", fingerprint=fingerprint[:16],
-                  group=group_size, request_id=lead_request_id) as sp:
+                  request_id=lead_request_id) as sp:
             t0 = time.perf_counter()
             data = decode_image(body.get("image"))
             t1 = time.perf_counter()
@@ -641,8 +629,7 @@ class ServeService:
         engine = body.get("engine") or self.config.engine
         arena = self._arena()
         with span("serve.exec", fingerprint=fingerprint[:16],
-                  engine=engine, group=group_size,
-                  request_id=lead_request_id):
+                  engine=engine, request_id=lead_request_id):
             self.stats.bump("executions")
             # reset in finally: a failed execute/encode must still zero
             # the per-run pool accounting, or the pool.* metrics drift
@@ -654,8 +641,7 @@ class ServeService:
                     # re-deriving identical diagnostics for every
                     # structure is pure serving cost
                     prepared = prepare_graph(
-                        plan.graph, cache=self.cache,
-                        workers=self.config.graph_workers,
+                        plan.graph, cache=self.cache, workers=1,
                         engine=engine, lint=False)
                 else:
                     prepared = warm[1]
@@ -683,7 +669,8 @@ class ServeService:
             "cache_hits": report.cache_hits,
             "compile_wall_ms": round(report.compile_wall_ms, 3),
             "execute_wall_ms": round(report.execute_wall_ms, 3),
-            "group_size": group_size,
+            # set when the group closes, to every member it answered
+            "group_size": 1,
             "prepared": warm is not None,
             "protocol": PROTOCOL_VERSION,
         }

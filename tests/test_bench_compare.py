@@ -1,5 +1,5 @@
 """Tests for the perf-regression sentinel (:mod:`repro.obs.compare`,
-``scripts/bench_compare.py``, ``repro perf``).
+``repro perf``).
 
 The acceptance behaviour: comparing a benchmark document against itself
 exits 0, and an injected 2x slowdown of a latency headline exits
@@ -256,29 +256,4 @@ class TestCLIs:
         code = main(["perf", "--baseline-dir", base_dir,
                      "--current-dir", cur_dir, "--bench", "serve"])
         assert code == 1
-        capsys.readouterr()
-
-    def test_bench_compare_script(self, tmp_path, capsys):
-        import importlib.util
-        import pathlib
-
-        script = (pathlib.Path(__file__).resolve().parents[1]
-                  / "scripts" / "bench_compare.py")
-        spec = importlib.util.spec_from_file_location("bench_compare",
-                                                      script)
-        mod = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(mod)
-
-        base_dir = str(tmp_path / "base")
-        cur_dir = str(tmp_path / "cur")
-        TestRunCompare._write(None, base_dir, make_doc())
-        TestRunCompare._write(None, cur_dir,
-                              make_doc(warm_p50_ms=112.0))
-        assert mod.main(["--baseline-dir", base_dir,
-                         "--current-dir", cur_dir,
-                         "--bench", "serve"]) == 1
-        TestRunCompare._write(None, cur_dir, make_doc())
-        assert mod.main(["--baseline-dir", base_dir,
-                         "--current-dir", cur_dir,
-                         "--bench", "serve"]) == 0
         capsys.readouterr()

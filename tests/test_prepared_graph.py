@@ -58,8 +58,7 @@ KINDS = [{"pipeline": name} for name in sorted(PIPELINES)] \
 
 @pytest.fixture
 def service():
-    svc = ServeService(ServeConfig(workers=2, batch_window_ms=0.0,
-                                   engine="auto")).start()
+    svc = ServeService(ServeConfig(workers=2, engine="auto")).start()
     try:
         yield svc
     finally:
@@ -128,8 +127,7 @@ def test_warm_responses_match_fresh_execution(native_env, service, side):
 
 
 def test_concurrent_same_structure_requests_get_their_own_answers():
-    svc = ServeService(ServeConfig(workers=2, batch_window_ms=0.0,
-                                   engine="sim")).start()
+    svc = ServeService(ServeConfig(workers=2, engine="sim")).start()
     try:
         kind = {"pipeline": "edge"}
         _served(svc, _body(kind, 40, seed=0))        # prepare one
@@ -161,8 +159,7 @@ def test_concurrent_same_structure_requests_get_their_own_answers():
 
 def test_lru_bound_and_counters(monkeypatch):
     monkeypatch.setattr(service_mod, "PREPARED_CACHE_SIZE", 2)
-    svc = ServeService(ServeConfig(workers=1, batch_window_ms=0.0,
-                                   engine="sim")).start()
+    svc = ServeService(ServeConfig(workers=1, engine="sim")).start()
     try:
         assert svc._prepared.capacity == 2
         chain = [{"chain": [{"op": "scale", "factor": f}]}
@@ -222,8 +219,7 @@ def test_prepared_cache_never_hands_one_instance_to_two_holders():
 
 
 def test_idle_instances_hold_no_frame_buffers():
-    svc = ServeService(ServeConfig(workers=1, batch_window_ms=0.0,
-                                   engine="sim")).start()
+    svc = ServeService(ServeConfig(workers=1, engine="sim")).start()
     try:
         _served(svc, _body({"pipeline": "edge"}, 64, seed=0))
         (plan, prepared), = [e for idle in svc._prepared._idle.values()

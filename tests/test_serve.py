@@ -14,8 +14,8 @@ The contract under test, per ISSUE acceptance:
   rejected retriable, the process exits 0.
 
 HTTP tests bind an ephemeral port; queue-mechanics tests drive
-:class:`~repro.serve.ServeService` directly (no sockets) so windows and
-worker counts are deterministic.
+:class:`~repro.serve.ServeService` directly (no sockets) and hold the
+worker inside ``PreparedGraph.run`` so queue states are deterministic.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ def frame():
 def http_serve():
     """A real server on an ephemeral port; yields (client, server)."""
     server = create_server(port=0, config=ServeConfig(
-        workers=2, batch_window_ms=2.0, engine="sim"))
+        workers=2, engine="sim"))
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()
     host, port = server.server_address[:2]
@@ -72,6 +72,37 @@ def http_serve():
         server.service.drain(timeout=10.0)
         server.shutdown()
         server.server_close()
+
+
+def _hold_runs(monkeypatch):
+    """Make every ``PreparedGraph.run`` wait for the returned event, so
+    a worker that takes a request stays busy until the test sets it.
+    Also returns the list of threads that entered ``run``."""
+    release = threading.Event()
+    calls = []
+    real = PreparedGraph.run
+
+    def blocking(self, *args, **kwargs):
+        calls.append(threading.get_ident())
+        release.wait(timeout=10.0)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(PreparedGraph, "run", blocking)
+    return release, calls
+
+
+def _wait_for(service, key, value):
+    """Poll ``service.metrics()[key]`` until it reaches *value*."""
+    deadline = time.monotonic() + 5.0
+    while (service.metrics()[key] < value
+           and time.monotonic() < deadline):
+        time.sleep(0.01)
+    return service.metrics()[key]
+
+
+def _edge(frame, **extra):
+    return dict({"pipeline": "edge", "image": encode_image(frame),
+                 "engine": "sim"}, **extra)
 
 
 # --------------------------------------------------------------------------
@@ -213,31 +244,23 @@ class TestHTTP:
 class TestDedup:
     def test_identical_concurrent_requests_execute_once(
             self, frame, monkeypatch):
-        calls = []
-        real = PreparedGraph.run
-
-        def counting(self, *args, **kwargs):
-            calls.append(threading.get_ident())
-            return real(self, *args, **kwargs)
-
-        monkeypatch.setattr(PreparedGraph, "run", counting)
-
-        # a wide window so every submission provably lands in one batch
-        svc = ServeService(ServeConfig(
-            workers=4, batch_window_ms=150.0, engine="sim")).start()
+        release, calls = _hold_runs(monkeypatch)
+        svc = ServeService(ServeConfig(workers=4, engine="sim")).start()
         try:
-            body = {"pipeline": "edge", "image": encode_image(frame),
-                    "engine": "sim"}
             n = 8
             results = [None] * n
 
             def go(i):
-                results[i] = svc.handle(dict(body))
+                results[i] = svc.handle(_edge(frame))
 
             threads = [threading.Thread(target=go, args=(i,))
                        for i in range(n)]
             for t in threads:
                 t.start()
+            # the first execution is held, so every copy is submitted
+            # while its group is still open
+            assert _wait_for(svc, "serve.requests", n) == n
+            release.set()
             for t in threads:
                 t.join()
 
@@ -254,11 +277,51 @@ class TestDedup:
             assert metrics["serve.executions"] == 1
             assert metrics["serve.batched"] == n
         finally:
+            release.set()
+            svc.drain(timeout=10.0)
+
+    def test_identical_request_joins_running_execution(
+            self, frame, monkeypatch):
+        release, calls = _hold_runs(monkeypatch)
+        svc = ServeService(ServeConfig(workers=1, engine="sim")).start()
+        n = 8
+        results = [None] * n
+
+        def go(i):
+            results[i] = svc.handle(_edge(frame))
+
+        threads = [threading.Thread(target=go, args=(i,))
+                   for i in range(n)]
+        try:
+            threads[0].start()
+            # request A is inside run on the only worker ...
+            assert _wait_for(svc, "serve.executions", 1) == 1
+            for t in threads[1:]:
+                t.start()
+            # ... and its seven copies joined that running execution
+            assert _wait_for(svc, "serve.queue_depth", n - 1) == n - 1
+            release.set()
+            for t in threads:
+                t.join(timeout=10.0)
+
+            assert len(calls) == 1
+            assert {status for status, _ in results} == {200}
+            assert {doc["meta"]["group_size"]
+                    for _, doc in results} == {n}
+            images = [decode_image(doc["image"]) for _, doc in results]
+            assert all(img.tobytes() == images[0].tobytes()
+                       for img in images)
+            metrics = svc.metrics()
+            assert metrics["serve.executions"] == 1
+            assert metrics["serve.dedup_hits"] == n - 1
+            assert metrics["serve.batched"] == n
+            assert metrics["serve.queue_depth"] == 0
+        finally:
+            release.set()
             svc.drain(timeout=10.0)
 
     def test_distinct_requests_each_execute(self, frame):
-        svc = ServeService(ServeConfig(
-            workers=2, batch_window_ms=50.0, engine="sim")).start()
+        svc = ServeService(ServeConfig(workers=2, engine="sim")).start()
         try:
             results = [None] * 3
 
@@ -296,8 +359,7 @@ class TestRobustness:
             return real(self, *args, **kwargs)
 
         monkeypatch.setattr(PreparedGraph, "run", slow)
-        svc = ServeService(ServeConfig(
-            workers=1, batch_window_ms=0.0, engine="sim")).start()
+        svc = ServeService(ServeConfig(workers=1, engine="sim")).start()
         try:
             status, doc = svc.handle(
                 {"pipeline": "edge", "image": encode_image(frame),
@@ -311,73 +373,47 @@ class TestRobustness:
 
     def test_fully_abandoned_group_is_cancelled(self, frame,
                                                 monkeypatch):
-        calls = []
-        real = PreparedGraph.run
-
-        def counting(self, *args, **kwargs):
-            calls.append(1)
-            return real(self, *args, **kwargs)
-
-        monkeypatch.setattr(PreparedGraph, "run", counting)
-        # the window is far longer than the deadline: the waiter gives
-        # up while its request is still queued, so the group must be
-        # cancelled without ever executing
-        svc = ServeService(ServeConfig(
-            workers=1, batch_window_ms=300.0, engine="sim")).start()
+        release, calls = _hold_runs(monkeypatch)
+        svc = ServeService(ServeConfig(workers=1, engine="sim")).start()
+        occupier = threading.Thread(target=svc.handle,
+                                    args=(_edge(frame + 1),))
         try:
-            status, doc = svc.handle(
-                {"pipeline": "edge", "image": encode_image(frame),
-                 "engine": "sim", "timeout_ms": 30})
+            occupier.start()
+            assert _wait_for(svc, "serve.executions", 1) == 1
+            # the only worker is held: the waiter gives up while its
+            # request is still queued, so the group must be cancelled
+            # without ever executing
+            status, doc = svc.handle(_edge(frame, timeout_ms=30))
             assert status == 504
-            deadline = time.monotonic() + 5.0
-            while (svc.metrics()["serve.cancelled"] == 0
-                   and time.monotonic() < deadline):
-                time.sleep(0.02)
-            assert svc.metrics()["serve.cancelled"] == 1
-            assert calls == []
+            release.set()
+            assert _wait_for(svc, "serve.cancelled", 1) == 1
+            occupier.join(timeout=10.0)
+            assert len(calls) == 1, "only the occupier may execute"
+            assert svc.metrics()["serve.executions"] == 1
         finally:
+            release.set()
+            occupier.join(timeout=10.0)
             svc.drain(timeout=10.0)
 
     def test_queue_limit_sheds_429(self, frame, monkeypatch):
-        release = threading.Event()
-        real = PreparedGraph.run
-
-        def blocking(self, *args, **kwargs):
-            release.wait(timeout=10.0)
-            return real(self, *args, **kwargs)
-
-        monkeypatch.setattr(PreparedGraph, "run", blocking)
+        release, _ = _hold_runs(monkeypatch)
         svc = ServeService(ServeConfig(
-            workers=1, batch_window_ms=0.0, queue_limit=2,
-            engine="sim")).start()
+            workers=1, queue_limit=2, engine="sim")).start()
         waiters = []
+        occupier = threading.Thread(target=svc.handle,
+                                    args=(_edge(frame),))
         try:
             # occupy the single worker, then fill the bounded queue
-            occupier = threading.Thread(target=svc.handle, args=(
-                {"pipeline": "edge", "image": encode_image(frame),
-                 "engine": "sim"},))
             occupier.start()
-            deadline = time.monotonic() + 5.0
-            while (svc.metrics()["serve.executions"] == 0
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)
-            waiters = []
+            _wait_for(svc, "serve.executions", 1)
             for i in range(2):
-                body = {"pipeline": "edge",
-                        "image": encode_image(frame + 1 + i),
-                        "engine": "sim"}
-                t = threading.Thread(target=svc.handle, args=(body,))
+                t = threading.Thread(target=svc.handle,
+                                     args=(_edge(frame + 1 + i),))
                 t.start()
                 waiters.append(t)
-            deadline = time.monotonic() + 5.0
-            while (svc.metrics()["serve.queue_depth"] < 2
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)
+            _wait_for(svc, "serve.queue_depth", 2)
 
-            shed_body = {"pipeline": "edge",
-                         "image": encode_image(frame + 9),
-                         "engine": "sim"}
-            status, doc = svc.handle(shed_body)
+            status, doc = svc.handle(_edge(frame + 9))
             assert status == 429
             assert doc["error"] == "queue_full"
             assert doc["retry_after"] > 0
@@ -389,32 +425,60 @@ class TestRobustness:
             occupier.join(timeout=10.0)
             svc.drain(timeout=10.0)
 
-    def test_shed_over_http_sets_retry_after_header(self, frame):
+    def test_queue_depth_counts_requests(self, frame, monkeypatch):
+        release, _ = _hold_runs(monkeypatch)
+        svc = ServeService(ServeConfig(
+            workers=1, queue_limit=5, engine="sim")).start()
+        try:
+            pending = [svc.submit(_edge(frame))]
+            assert _wait_for(svc, "serve.executions", 1) == 1
+            # one queued group of three, two joined the running group:
+            # five waiting requests in two groups
+            pending += [svc.submit(_edge(frame + 1)) for _ in range(3)]
+            pending += [svc.submit(_edge(frame)) for _ in range(2)]
+            assert svc.metrics()["serve.queue_depth"] == 5
+            status, _ = svc.handle(_edge(frame + 2))
+            assert status == 429
+            release.set()
+            for p in pending:
+                assert p.done.wait(timeout=10.0)
+                assert p.result[0] == 200
+            metrics = svc.metrics()
+            assert metrics["serve.queue_depth"] == 0
+            assert metrics["serve.executions"] == 2
+            assert metrics["serve.dedup_hits"] == 4
+        finally:
+            release.set()
+            svc.drain(timeout=10.0)
+
+    def test_shed_over_http_sets_retry_after_header(self, frame,
+                                                    monkeypatch):
         import http.client as http_client
 
+        release, _ = _hold_runs(monkeypatch)
         server = create_server(port=0, config=ServeConfig(
-            workers=1, batch_window_ms=500.0, queue_limit=1,
-            engine="sim"))
+            workers=1, queue_limit=1, engine="sim"))
         thread = threading.Thread(target=server.serve_forever,
                                   daemon=True)
         thread.start()
         host, port = server.server_address[:2]
         client = ServeClient(host, port, timeout=30.0)
         client.wait_ready()
+        service = server.service
+        senders = [threading.Thread(
+            target=lambda i=i: client.execute(
+                frame + i, pipeline="edge", timeout_ms=8000))
+            for i in range(2)]
         try:
-            # the huge batching window keeps request #1 queued; #2 must
-            # be shed with a Retry-After header
-            first = threading.Thread(
-                target=lambda: client.execute(
-                    frame, pipeline="edge", timeout_ms=8000))
-            first.start()
-            deadline = time.monotonic() + 5.0
-            while (server.service.metrics()["serve.queue_depth"] < 1
-                   and time.monotonic() < deadline):
-                time.sleep(0.01)
+            # the held worker runs request #1 and keeps #2 queued; #3
+            # must be shed with a Retry-After header
+            senders[0].start()
+            _wait_for(service, "serve.executions", 1)
+            senders[1].start()
+            _wait_for(service, "serve.queue_depth", 1)
 
             body = json.dumps(
-                {"pipeline": "edge", "image": encode_image(frame + 1),
+                {"pipeline": "edge", "image": encode_image(frame + 2),
                  "engine": "sim"}).encode()
             conn = http_client.HTTPConnection(host, port, timeout=10)
             conn.request("POST", "/v1/execute", body=body,
@@ -425,55 +489,69 @@ class TestRobustness:
             conn.close()
             assert response.status == 429, doc
             assert retry_after is not None and float(retry_after) >= 1
-            first.join(timeout=15.0)
+            release.set()
+            for t in senders:
+                t.join(timeout=15.0)
         finally:
-            server.service.drain(timeout=10.0)
+            release.set()
+            service.drain(timeout=10.0)
             server.shutdown()
             server.server_close()
 
-    def test_client_raises_server_busy(self, frame):
+    def test_client_raises_server_busy(self, frame, monkeypatch):
+        release, _ = _hold_runs(monkeypatch)
         svc = ServeService(ServeConfig(
-            workers=1, batch_window_ms=400.0, queue_limit=1,
-            engine="sim")).start()
+            workers=1, queue_limit=1, engine="sim")).start()
         try:
-            svc.submit({"pipeline": "edge",
-                        "image": encode_image(frame), "engine": "sim"})
-            status, doc = svc.handle(
-                {"pipeline": "edge", "image": encode_image(frame + 1),
-                 "engine": "sim", "timeout_ms": 100})
+            svc.submit(_edge(frame))
+            _wait_for(svc, "serve.executions", 1)
+            svc.submit(_edge(frame + 2))
+            status, doc = svc.handle(_edge(frame + 1, timeout_ms=100))
             assert status == 429
         finally:
+            release.set()
             svc.drain(timeout=10.0)
         assert ServerBusy(429, {"retry_after": 2.5}).retry_after == 2.5
 
-    def test_drain_rejects_queued_as_retriable(self, frame):
-        svc = ServeService(ServeConfig(
-            workers=1, batch_window_ms=1000.0, engine="sim")).start()
+    def test_drain_rejects_queued_as_retriable(self, frame,
+                                               monkeypatch):
+        release, _ = _hold_runs(monkeypatch)
+        svc = ServeService(ServeConfig(workers=1, engine="sim")).start()
         statuses = []
+        running = []
 
         def go():
-            status, doc = svc.handle(
-                {"pipeline": "edge", "image": encode_image(frame),
-                 "engine": "sim"})
+            status, doc = svc.handle(_edge(frame))
             statuses.append((status, doc))
 
+        occupier = threading.Thread(
+            target=lambda: running.append(svc.handle(_edge(frame + 1))))
+        occupier.start()
+        _wait_for(svc, "serve.executions", 1)
         t = threading.Thread(target=go)
         t.start()
+        _wait_for(svc, "serve.queue_depth", 1)
+        drained = []
+        drainer = threading.Thread(
+            target=lambda: drained.append(svc.drain(timeout=10.0)))
+        drainer.start()
         deadline = time.monotonic() + 5.0
-        while (svc.metrics()["serve.queue_depth"] < 1
-               and time.monotonic() < deadline):
+        while not svc.draining and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert svc.drain(timeout=10.0)
+        release.set()
+        drainer.join(timeout=10.0)
+        assert drained == [True]
         t.join(timeout=10.0)
+        occupier.join(timeout=10.0)
         assert statuses, "queued request never answered"
         status, doc = statuses[0]
         assert status == 503
         assert doc["error"] == "draining"
         assert doc["retriable"] is True
+        # the running group finished and answered its member
+        assert running and running[0][0] == 200
         # new submissions are refused outright
-        status, doc = svc.handle(
-            {"pipeline": "edge", "image": encode_image(frame),
-             "engine": "sim"})
+        status, doc = svc.handle(_edge(frame))
         assert status == 503
 
 
@@ -545,22 +623,22 @@ class TestObservability:
             seen.add(header)
         assert len(seen) == 3
 
-    def test_rejections_carry_request_id(self, frame):
+    def test_rejections_carry_request_id(self, frame, monkeypatch):
+        release, _ = _hold_runs(monkeypatch)
         svc = ServeService(ServeConfig(
-            workers=1, batch_window_ms=400.0, queue_limit=1,
-            engine="sim")).start()
+            workers=1, queue_limit=1, engine="sim")).start()
         try:
-            svc.submit({"pipeline": "edge",
-                        "image": encode_image(frame), "engine": "sim"})
-            status, doc = svc.handle(
-                {"pipeline": "edge", "image": encode_image(frame + 1),
-                 "engine": "sim", "timeout_ms": 100})
+            svc.submit(_edge(frame))
+            _wait_for(svc, "serve.executions", 1)
+            svc.submit(_edge(frame + 2))
+            status, doc = svc.handle(_edge(frame + 1, timeout_ms=100))
             assert status == 429
             assert re.fullmatch(r"[0-9a-f]{16}", doc["request_id"])
             status, doc = svc.handle(["not", "an", "object"])
             assert status == 400
             assert re.fullmatch(r"[0-9a-f]{16}", doc["request_id"])
         finally:
+            release.set()
             svc.drain(timeout=10.0)
 
     def test_request_histograms_populate(self, http_serve, frame):
