@@ -296,10 +296,13 @@ class PreparedGraph:
     native module and every per-run invariant, ready to :meth:`run`.
 
     Between runs the caller may :meth:`~repro.dsl.image.Image.set_data`
-    new pixels into the graph's input images; every image a run writes
+    new pixels into the graph's input images.  Every image a run writes
     in host memory gets fresh zeroed storage at the start of each run
-    after the first, so nothing one run wrote can leak into the next.  One instance runs
-    on one thread at a time — the images are its own.
+    after the first, so nothing one run wrote can leak into the next.
+    Native segments write external images in place, so these cleared
+    images are also what give a partially covered external output its
+    zeros.  One instance runs on one thread at a time — the images are
+    its own.
     """
 
     graph: PipelineGraph

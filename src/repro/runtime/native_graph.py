@@ -10,8 +10,9 @@ interior loop nests vectorise for the host ISA) and executes through
 ctypes — OpenMP parallelises the interior loop nest of each kernel large
 enough to pay for it (:data:`repro.backends.cpu.PARALLEL_MIN_PIXELS`).
 A slab tenant is zeroed before its producer runs only when the
-producer's iteration space leaves some of its pixels unwritten.  This is
-the only route from generated C to machine code.
+producer's iteration space leaves some of its pixels unwritten; every
+other image is read and written in place, in its own storage at its own
+row stride.  This is the only route from generated C to machine code.
 
 **The simulator stays the oracle.**  A node joins the native tier only
 when its C lowering is provably byte-identical to the simulator.  The
@@ -96,7 +97,7 @@ from .native import compiler_signature, find_c_compiler, native_workdir
 #: changes — stored entries with another format are ignored.  Any change
 #: to C emission needs this bump: graph_fingerprint hashes IR and layout,
 #: not the emitted source.
-NATIVE_GRAPH_FORMAT = 4
+NATIVE_GRAPH_FORMAT = 5
 
 #: the one compile command's flags (``cc <flags> tu.c -o tu.so -lm``),
 #: folded into :func:`graph_fingerprint` together with the target ISA
@@ -215,12 +216,14 @@ def native_ineligibility(node) -> Optional[str]:
 
 @dataclasses.dataclass
 class BufferBinding:
-    """Where one image lives during native execution."""
+    """Where one image lives during native execution.  An external
+    image has no compile-time stride: segments take its pointer and row
+    stride from ``ext[index]`` and ``ext_stride[index]``."""
 
     kind: str          # "slab" | "ext"
     index: int         # slab tenant ordinal / ext pointer slot
     offset: int        # byte offset into the slab (0 for ext)
-    stride: int        # row stride in elements
+    stride: Optional[int] = None   # slab row stride in elements
 
 
 @dataclasses.dataclass
@@ -252,9 +255,6 @@ class NativeGraphPlan:
     slab_bytes: int
     slab_allocs: int
     slab_reuses: int
-    #: per segment: (ext slots to seed before the call,
-    #:               ext slots to write back after it)
-    seg_io: List[Tuple[List[int], List[int]]]
     reasons: Dict[str, str]               # node name -> fallback reason
 
     @property
@@ -416,11 +416,6 @@ def plan_native_graph(graph, order=None) -> NativeGraphPlan:
     ext_index: Dict[int, int] = {}
     topo_pos = {id(lw.node): lw.index for lw in lowerings}
 
-    def bind_ext(img: Image) -> None:
-        if id(img) not in ext_index:
-            ext_index[id(img)] = len(ext_images)
-            ext_images.append(img)
-
     for lw in lowerings:
         if not lw.native:
             continue
@@ -438,7 +433,8 @@ def plan_native_graph(graph, order=None) -> NativeGraphPlan:
                 end = max(topo_pos[id(c)] for c in consumers)
                 slab_images.append((img, start, end))
             else:
-                bind_ext(img)
+                ext_index[id(img)] = len(ext_images)
+                ext_images.append(img)
 
     # -- slab layout ---------------------------------------------------------
     requests = []
@@ -457,23 +453,7 @@ def plan_native_graph(graph, order=None) -> NativeGraphPlan:
     for img in ext_images:
         bindings[id(img)] = BufferBinding(kind="ext",
                                           index=ext_index[id(img)],
-                                          offset=0, stride=img.width)
-
-    # -- per-segment external I/O -------------------------------------------
-    seg_io: List[Tuple[List[int], List[int]]] = []
-    for seg in segments:
-        touched, written = set(), set()
-        for idx in seg:
-            lw = lowerings[idx]
-            out_b = bindings[id(lw.node.output)]
-            if out_b.kind == "ext":
-                touched.add(out_b.index)
-                written.add(out_b.index)
-            for acc in lw.ir.accessors:
-                b = bindings[id(lw.acc_objs[acc.name].image)]
-                if b.kind == "ext":
-                    touched.add(b.index)
-        seg_io.append((sorted(touched), sorted(written)))
+                                          offset=0)
 
     return NativeGraphPlan(
         graph_name=graph.name,
@@ -485,7 +465,6 @@ def plan_native_graph(graph, order=None) -> NativeGraphPlan:
         slab_bytes=slab_bytes,
         slab_allocs=allocs,
         slab_reuses=reuses,
-        seg_io=seg_io,
         reasons=reasons,
     )
 
@@ -501,19 +480,25 @@ def _binding_ptr(b: BufferBinding) -> str:
     return f"ext[{b.index}]"
 
 
+def _binding_stride(b: BufferBinding) -> str:
+    if b.kind == "slab":
+        return str(b.stride)
+    return f"ext_stride[{b.index}]"
+
+
 def _call_line(lw: NodeLowering,
                bindings: Dict[int, BufferBinding]) -> str:
     node, ir = lw.node, lw.ir
     space = node.iteration_space
     out_b = bindings[id(node.output)]
     out_t = ir.pixel_type.cuda_name
-    args = [f"({out_t} *)({_binding_ptr(out_b)})", str(out_b.stride)]
+    args = [f"({out_t} *)({_binding_ptr(out_b)})", _binding_stride(out_b)]
     for acc in ir.accessors:
         img = lw.acc_objs[acc.name].image
         b = bindings[id(img)]
         t = acc.pixel_type.cuda_name
         args += [f"(const {t} *)({_binding_ptr(b)})",
-                 str(img.width), str(img.height), str(b.stride)]
+                 str(img.width), str(img.height), _binding_stride(b)]
     args += [str(space.width), str(space.height),
              str(space.offset_x), str(space.offset_y)]
     for p in ir.params:
@@ -555,8 +540,8 @@ def emit_graph_source(plan: NativeGraphPlan) -> str:
         lines.append("")
     for k, seg in enumerate(plan.segments):
         lines.append(f"void repro_graph_seg{k}(void * const *ext, "
-                     "unsigned char *slab) {")
-        lines.append("    (void)ext; (void)slab;")
+                     "const int *ext_stride, unsigned char *slab) {")
+        lines.append("    (void)ext; (void)ext_stride; (void)slab;")
         for idx in seg:
             lw = plan.lowerings[idx]
             lines.append(f"    // node {lw.node.name!r}")
@@ -652,32 +637,34 @@ class NativeGraphModule:
 
 
 class NativeGraphExecutor:
-    """Per-execution buffers: the slab plus one contiguous array per
-    external image, with copy-in/copy-out around each segment call."""
+    """Per-execution state: the slab plus a pointer table and a row
+    stride table for the external images, which segments read and write
+    in their own storage.  Both tables are refilled before every call:
+    between segments a simulator launch may re-pad an image
+    (:meth:`~repro.dsl.image.Image.apply_padding`), and
+    ``set_data``/``clear`` replace its storage."""
 
     def __init__(self, module: NativeGraphModule):
         self.module = module
         plan = module.plan
         self._slab = np.zeros(max(plan.slab_bytes, 1), dtype=np.uint8)
-        self._ext = [np.zeros((img.height, img.width),
-                              dtype=img.pixel_type.np_dtype)
-                     for img in plan.ext_images]
-        self._ptrs = (ctypes.c_void_p * max(len(self._ext), 1))()
-        for j, buf in enumerate(self._ext):
-            self._ptrs[j] = buf.ctypes.data
+        slots = max(len(plan.ext_images), 1)
+        self._ptrs = (ctypes.c_void_p * slots)()
+        self._strides = (ctypes.c_int * slots)()
         self._slab_ptr = ctypes.c_void_p(self._slab.ctypes.data)
 
     def run_segment(self, k: int) -> None:
-        plan = self.module.plan
-        touched, written = plan.seg_io[k]
-        for j in touched:
-            # seed reads *and* writes: a partial iteration space must
-            # preserve the pixels outside it, exactly like the simulator
-            self._ext[j][...] = plan.ext_images[j].pixels
+        for j, img in enumerate(self.module.plan.ext_images):
+            pixels = img.pixels
+            if not pixels.flags.writeable:
+                # released storage (a zero-stride broadcast view) reads
+                # as zeros; fresh zeroed storage reads the same and is a
+                # whole frame C may address
+                pixels = img.clear().pixels
+            self._ptrs[j] = pixels.ctypes.data
+            self._strides[j] = img.stride
         fn = getattr(self.module._lib, self.module.entries[k])
-        fn(self._ptrs, self._slab_ptr)
-        for j in written:
-            plan.ext_images[j].pixels[...] = self._ext[j]
+        fn(self._ptrs, self._strides, self._slab_ptr)
 
 
 @contextlib.contextmanager
@@ -796,6 +783,7 @@ def compile_native_graph(graph, order=None,
             fn = getattr(lib, entry)
             fn.restype = None
             fn.argtypes = [ctypes.POINTER(ctypes.c_void_p),
+                           ctypes.POINTER(ctypes.c_int),
                            ctypes.c_void_p]
         sp.attrs.update(origin=origin, segments=len(plan.segments),
                         native_nodes=plan.native_count,

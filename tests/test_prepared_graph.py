@@ -11,6 +11,10 @@ and re-runs them with new frames.  The contract under test:
   node interleaves with native segments;
 * a re-run never sees pixels a previous run wrote (partial iteration
   spaces leave the rest of their output at zero, as a fresh image has);
+* native segments read and write external images in their own
+  storage: a simulator node that re-pads an image between two segments,
+  and an input left released, both read correctly, and the executor
+  allocates no frame-sized staging array;
 * concurrent same-structure requests never share an instance;
 * the LRU is bounded and counts its hits, misses and evictions;
 * the CPU lowering's OpenMP gate keeps native output bit-exact on both
@@ -19,6 +23,7 @@ and re-runs them with new frames.  The contract under test:
 
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +38,7 @@ from repro import (
     PipelineGraph,
 )
 from repro.backends.cpu import PARALLEL_MIN_PIXELS
-from repro.filters.point_ops import Scale
+from repro.filters.point_ops import GammaCorrection, Scale
 from repro.filters.sobel import SOBEL_X, SobelX
 from repro.graph import compile_graph, execute_graph
 from repro.graph.pool import BufferPool
@@ -288,6 +293,90 @@ def test_rerun_reports_no_compile_time():
     assert second.compile_wall_ms == 0.0
     assert [n.footprint for n in first.nodes] \
         == [n.footprint for n in second.nodes]
+
+
+# --------------------------------------------------------------------------
+# External images bound in place
+# --------------------------------------------------------------------------
+
+
+def _repad_graph(frame):
+    """Sobel (native) -> gamma 0.8 (simulator: inexact ``pow``) ->
+    Sobel (native).  The simulator launch pads ``a`` and ``b`` to the
+    device's row alignment, so the second segment reads ``b`` at a
+    stride the first segment never saw."""
+    h, w = frame.shape
+    src = Image(w, h, float, name="src").set_data(frame)
+    a, b, out = (Image(w, h, float, name=n) for n in ("a", "b", "out"))
+    g = PipelineGraph("repad")
+    g.add_kernel(SobelX(IterationSpace(a),
+                        Accessor(BoundaryCondition(src, 3, 3,
+                                                   Boundary.CLAMP)),
+                        Mask(3, 3).set(SOBEL_X)), name="sobel_a")
+    g.add_kernel(GammaCorrection(IterationSpace(b), Accessor(a), 0.8),
+                 name="gamma")
+    g.add_kernel(SobelX(IterationSpace(out),
+                        Accessor(BoundaryCondition(b, 3, 3,
+                                                   Boundary.CLAMP)),
+                        Mask(3, 3).set(SOBEL_X)), name="sobel_b")
+    g.mark_output(out)
+    return g, src, b, out
+
+
+def _sim_output(frame):
+    g, _, _, out = _repad_graph(frame)
+    execute_graph(g, engine="sim", workers=1)
+    return out.get_data()
+
+
+@requires_cc
+@pytest.mark.parametrize("release", [False, True])
+def test_simulator_repad_between_segments(native_env, release):
+    frames = [random_image(100, 37, seed=s) for s in range(3)]
+    g, src, b, out = _repad_graph(frames[0])
+    prepared = prepare_graph(g, engine="native", workers=1)
+    assert [kind for kind, _ in prepared.native_module.plan.schedule] \
+        == ["native", "sim", "native"]
+    for frame in frames:
+        src.set_data(frame)
+        report = prepared.run()
+        assert [n.engine for n in report.nodes] == ["native", "sim",
+                                                    "native"]
+        assert b.stride == 128 != b.width
+        assert out.get_data().tobytes() == _sim_output(frame).tobytes()
+        if release:
+            prepared.release()
+
+
+@requires_cc
+def test_released_input_is_read_in_place(native_env):
+    g, _, _, out = _repad_graph(random_image(100, 37, seed=7))
+    prepared = prepare_graph(g, engine="native", workers=1)
+    prepared.run()
+    prepared.release()
+    prepared.run()          # no set_data: the input reads as zeros
+    zeros = np.zeros((37, 100), dtype=np.float32)
+    assert out.get_data().tobytes() == _sim_output(zeros).tobytes()
+
+
+@requires_cc
+def test_executor_stages_nothing(native_env):
+    side = 256
+    frame = random_image(side, side, seed=1)
+    plan = plan_request({"pipeline": "enhance"}, frame)
+    prepared = prepare_graph(plan.graph, engine="native", workers=1)
+    module = prepared.native_module
+    assert module.plan.slab_bytes == 0
+    prepared.run()
+    tracemalloc.start()
+    try:
+        executor = module.executor()
+        for k in range(len(module.plan.segments)):
+            executor.run_segment(k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < side * side * 4, peak
 
 
 # --------------------------------------------------------------------------
