@@ -3,17 +3,18 @@
 The edge-detection chain (median -> sobel-x || sobel-y -> magnitude ->
 scale -> gamma -> threshold) runs two ways over the same frame:
 
-* **naive** — serial, unfused, unpooled: one launch per DSL kernel,
-  every intermediate image its own allocation held to the end (exactly
-  what the hand-written example chains did);
-* **scheduled** — point-op fusion + lifetime-aware buffer pool +
-  parallel branches, all compiles through one shared compilation cache.
+* **naive** — serial compiles, unfused: one launch per DSL kernel.  Its
+  footprint is the report's ``naive_bytes``: every intermediate image
+  its own allocation held to the end (exactly what the hand-written
+  example chains did);
+* **scheduled** — point-op fusion + the prepare-time memory plan,
+  compiles on a thread pool through one shared compilation cache.
 
 Headline numbers (asserted under pytest, printed when run directly):
 
 * fewer kernel launches (the point-op tail collapses into one kernel);
 * lower peak intermediate bytes (fusion removes buffers outright, the
-  pool recycles what is left);
+  memory plan lets dead intermediates' bytes be reused);
 * byte-identical output — the optimisations must be invisible.
 
 Run directly::
@@ -86,8 +87,7 @@ def build_graph(frame, size):
 def run_naive(frame, size):
     g, out = build_graph(frame, size)
     t0 = time.perf_counter()
-    report = execute_graph(g, cache=None, workers=1, fuse=False,
-                           pool=False)
+    report = execute_graph(g, cache=None, workers=1, fuse=False)
     wall = (time.perf_counter() - t0) * 1e3
     return out.get_data().copy(), report, wall
 
@@ -96,7 +96,7 @@ def run_scheduled(frame, size, workers=4):
     g, out = build_graph(frame, size)
     t0 = time.perf_counter()
     report = execute_graph(g, cache=CompilationCache(), workers=workers,
-                           fuse=True, pool=True)
+                           fuse=True)
     wall = (time.perf_counter() - t0) * 1e3
     return out.get_data().copy(), report, wall
 
@@ -113,7 +113,7 @@ def measure(size=512, workers=4):
 def report(quick: bool = False, workers: int = 4):
     size = 256 if quick else 512
     naive, naive_wall, sched, sched_wall = measure(size, workers)
-    naive_peak = naive.pool.peak_bytes
+    naive_peak = naive.pool.naive_bytes
     sched_peak = sched.pool.peak_bytes
     print(f"edge pipeline, {size}x{size} frame, {workers} workers:")
     print(f"  launches:            {naive.launches} -> {sched.launches} "
@@ -122,7 +122,8 @@ def report(quick: bool = False, workers: int = 4):
           f"{sched_peak / 1024:.1f} KiB "
           f"({(naive_peak - sched_peak) / 1024:.1f} KiB saved: "
           f"{sched.fusion.intermediate_bytes_eliminated / 1024:.1f} KiB "
-          f"fused away, pool reused {sched.pool.reuses} buffers)")
+          f"fused away, {sched.pool.reuses} intermediates in reused "
+          f"bytes)")
     print(f"  modelled device time {naive.total_device_ms:.4f} ms -> "
           f"{sched.total_device_ms:.4f} ms")
     print(f"  wall (compile+run):  {naive_wall:.1f} ms -> "
@@ -135,7 +136,7 @@ def test_scheduled_pipeline_beats_naive():
     naive, _, sched, _ = measure(size=256)
     assert sched.launches < naive.launches
     assert sched.fusion.launches_saved >= 2
-    assert sched.pool.peak_bytes < naive.pool.peak_bytes
+    assert sched.pool.peak_bytes < naive.pool.naive_bytes
     # fusion eliminated at least the three point-op intermediates' worth
     assert sched.fusion.intermediate_bytes_eliminated > 0
 
@@ -143,7 +144,8 @@ def test_scheduled_pipeline_beats_naive():
 def test_naive_pipeline_reports_full_footprint():
     naive, _, _, _ = measure(size=256)
     assert naive.launches == 7
-    assert naive.pool.peak_bytes == naive.pool.naive_bytes
+    # six intermediates, each a whole 256x256 float32 frame
+    assert naive.pool.naive_bytes == 6 * 256 * 256 * 4
     assert naive.fusion.pairs_fused == 0
 
 
@@ -157,7 +159,8 @@ def main():
     parser.add_argument("--quick", action="store_true",
                         help="small frame (CI smoke)")
     parser.add_argument("--workers", type=int, default=4,
-                        help="thread count for the scheduled run")
+                        help="compile thread count for the scheduled "
+                             "run")
     parser.add_argument("--json", action="store_true",
                         help="write BENCH_pipeline_graph.json with "
                              "per-stage span breakdowns")
@@ -172,7 +175,7 @@ def main():
         {"naive_launches": naive.launches,
          "scheduled_launches": sched.launches,
          "launches_saved": sched.fusion.launches_saved,
-         "naive_peak_bytes": naive.pool.peak_bytes,
+         "naive_peak_bytes": naive.pool.naive_bytes,
          "scheduled_peak_bytes": sched.pool.peak_bytes,
          "naive_device_ms": naive.total_device_ms,
          "scheduled_device_ms": sched.total_device_ms},

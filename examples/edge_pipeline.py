@@ -10,9 +10,9 @@ The clinical pre-processing chain composed from DSL operators:
 The chain is expressed twice: once as manual per-kernel
 ``compile_kernel(...).execute()`` calls, and once declaratively as a
 :class:`repro.PipelineGraph`, which compiles every node through one
-shared compilation cache and runs the independent Sobel branches in
-parallel.  The example asserts both spellings produce *identical*
-pixels.
+shared compilation cache and keeps the intermediates in one arena at
+offsets planned before the first launch.  The example asserts both
+spellings produce *identical* pixels.
 
 Run:  python examples/edge_pipeline.py
 """
@@ -109,7 +109,7 @@ def main():
     print(f"  edge response: mean {edges_manual.mean():.4f}, "
           f"p99 {np.percentile(edges_manual, 99):.4f}")
     print()
-    print("as a pipeline graph (sobel-x and sobel-y run in parallel):")
+    print("as a pipeline graph:")
     print(report.summary())
 
     # the graph execution is *identical* to the manual chain, bit for bit

@@ -14,7 +14,7 @@ Commands:
 * ``demo``     — compile + simulate a filter on a synthetic angiography
   frame and report timing/configuration;
 * ``graph``    — run the edge-detection pipeline as a declarative
-  multi-kernel graph (fusion, buffer pool, parallel branches) and print
+  multi-kernel graph (fusion, memory plan, concurrent compiles) and print
   the graph report, or export the DAG with ``--dot``;
 * ``lint``     — static-analyse kernels: run example files under the
   diagnostic collector and/or lint the built-in filters, reporting
@@ -239,8 +239,7 @@ def cmd_graph(args) -> int:
 
     cache = _cache_from_args(args)
     report = execute_graph(g, cache=cache, workers=args.workers,
-                           fuse=not args.no_fuse, pool=not args.no_pool,
-                           engine=args.engine)
+                           fuse=not args.no_fuse, engine=args.engine)
     print(report.summary())
     edges = out.get_data()
     print(f"  output:  mean {edges.mean():.4f}, max {edges.max():.4f}")
@@ -608,12 +607,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="cuda")
     p.add_argument("--device", default="Tesla C2050")
     p.add_argument("--workers", type=int, default=None,
-                   help="thread count for compile + branch execution "
-                        "(1 = serial)")
+                   help="thread count for compilation (1 = serial)")
     p.add_argument("--no-fuse", action="store_true",
                    help="disable point-operator fusion")
-    p.add_argument("--no-pool", action="store_true",
-                   help="disable the intermediate buffer pool")
     p.add_argument("--engine", choices=["sim", "native", "auto"],
                    default="sim",
                    help="execution tier: Python simulator (oracle), "

@@ -3,8 +3,8 @@
 Build a :class:`PipelineGraph` from DSL kernels (or a linear chain with
 :func:`pipe`), then :meth:`~PipelineGraph.run` it: the scheduler fuses
 adjacent point operators, compiles every node concurrently through one
-shared compilation cache, executes independent branches in parallel and
-services intermediate images from a lifetime-aware buffer pool.  See
+shared compilation cache, then runs the nodes in order with every
+intermediate image at a prepare-time offset in one arena.  See
 docs/PIPELINES.md.
 """
 

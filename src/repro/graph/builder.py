@@ -146,8 +146,9 @@ class PipelineGraph:
         self.nodes.insert(insert_at, added)
 
     def mark_output(self, image: Image) -> None:
-        """Pin *image* as a pipeline output: never pooled away and never
-        eliminated by fusion, even if some node also consumes it."""
+        """Pin *image* as a pipeline output: never placed in the arena
+        and never eliminated by fusion, even if some node also consumes
+        it."""
         if not any(image is img for img in self._marked_outputs):
             self._marked_outputs.append(image)
 
@@ -193,7 +194,7 @@ class PipelineGraph:
 
     def intermediates(self) -> List[Image]:
         """Images both produced and consumed inside the graph and not
-        marked as outputs — the buffer pool's domain."""
+        marked as outputs — the arena's tenants."""
         outs = self.outputs()
         result = []
         for n in self.nodes:

@@ -1,48 +1,57 @@
-"""Size-bucketed arena pool for intermediate images.
+"""The memory plan of a prepared graph, and the arena that backs it.
 
-A naive pipeline materialises one fresh NumPy buffer per intermediate
-image and keeps all of them alive to the end — exactly what the hand
-chained examples did.  The graph scheduler instead computes the last use
-of every intermediate and services its allocation from this pool: a
-buffer released after its final consumer is handed to the next
-intermediate of a compatible size, so peak footprint tracks the *live
-set* of the schedule, not the total number of edges.
+A naive pipeline materialises one fresh buffer per intermediate image
+and keeps all of them alive to the end — exactly what the hand chained
+examples did.  A prepared graph runs its schedule serially, so schedule
+order is happens-before: :func:`plan_memory` gives every intermediate a
+byte offset at prepare time (:func:`first_fit_layout`), and two
+intermediates share bytes only when the last reader of one runs before
+the writer of the other.  Peak footprint follows the live set of the
+schedule, not the number of edges.
 
-Buckets are rounded up to a quantum so images of slightly different
-padded sizes share a free list; slices are re-viewed at the image's
-dtype and padded row stride (pre-padded to the device alignment via
-:func:`repro.sim.launch.padding_alignment`, so the launch-time
-``apply_padding`` becomes a no-op and never silently swaps a pooled
-buffer for a fresh allocation).
+Both execution tiers use the one plan.  The native tier's
+slab-resident intermediates come first (their offsets are fixed by
+:func:`repro.runtime.native_graph.plan_native_graph` and lowered into
+the C code); every intermediate a run writes in host memory follows
+them.  A run takes one piece of that size from the caller's
+:class:`BufferPool` arena.  Host tenants are pre-padded to their
+writer's device alignment (:func:`repro.sim.launch.padding_alignment`),
+so the launch-time ``apply_padding`` never swaps a planned view for a
+fresh allocation.  Graph outputs stay out of the arena: they keep their
+own storage from run to run.  An image is zeroed before its writer
+runs only when the writer's iteration space leaves some of its pixels
+unwritten (:func:`covers_output`) — the rule the C code's memsets
+follow for slab tenants.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import threading
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from ..dsl.image import Image
-from ..obs import span
+from ..sim.launch import padding_alignment
+
+#: every arena tenant starts on this byte boundary (a cache line, and a
+#: multiple of every pixel type's size)
+TENANT_ALIGNMENT = 64
 
 
 @dataclasses.dataclass
 class PoolStats:
-    """Accounting for one scheduled execution."""
+    """The memory plan of one prepared graph."""
 
     #: bytes a naive executor would allocate (every intermediate its own
     #: buffer, all live simultaneously)
     naive_bytes: int = 0
-    #: high-water mark of live pooled bytes during execution
+    #: high-water mark of the planned intermediates
     peak_bytes: int = 0
-    current_bytes: int = 0
-    #: fresh arena allocations
+    #: tenants the layout placed past the high-water mark so far
     allocs: int = 0
-    #: allocations served by recycling a released buffer
+    #: tenants the layout placed in bytes a dead tenant had used
     reuses: int = 0
-    releases: int = 0
 
     @property
     def saved_bytes(self) -> int:
@@ -54,10 +63,8 @@ class PoolStats:
         return {
             "pool.naive_bytes": self.naive_bytes,
             "pool.peak_bytes": self.peak_bytes,
-            "pool.current_bytes": self.current_bytes,
             "pool.allocs": self.allocs,
             "pool.reuses": self.reuses,
-            "pool.releases": self.releases,
         }
 
     def summary(self) -> str:
@@ -74,9 +81,7 @@ def first_fit_layout(requests: List[Tuple[int, int, int]]
     *requests* is a list of ``(start, end, nbytes)`` tuples (inclusive
     interval of schedule indices during which the buffer is live).
     Returns ``(offsets, high_water, allocs, reuses)`` where *offsets*
-    parallels *requests* — the compile-time analogue of
-    :class:`BufferPool`'s runtime recycling, used by the native graph
-    tier to lower the whole arena into one slab.
+    parallels *requests*.
     """
     offsets: List[int] = []
     high_water = 0
@@ -100,121 +105,163 @@ def first_fit_layout(requests: List[Tuple[int, int, int]]
     return offsets, high_water, allocs, reuses
 
 
-class BufferPool:
-    """Arena of byte buffers bucketed by rounded size.
+def padded_stride(width: int, alignment: int) -> int:
+    """*width* rounded up to a multiple of *alignment* elements."""
+    return -(-width // alignment) * alignment
 
-    ``bind(image, alignment)`` installs a pooled, pre-padded backing
-    array into *image* (zeroed — identical to a fresh
-    :class:`~repro.dsl.image.Image`); ``release(image)`` returns the
-    backing to the free list once the scheduler proves the image dead.
-    Released images keep a readable view until the buffer is recycled,
-    which is why pipeline *outputs* are never pooled.
+
+def covers_output(node) -> bool:
+    """Whether *node*'s iteration space writes every pixel of its output
+    image — then whatever the image's bytes held before is all
+    overwritten, and they need no zeroing first."""
+    space, img = node.iteration_space, node.output
+    return (space.offset_x == 0 and space.offset_y == 0
+            and space.width == img.width and space.height == img.height)
+
+
+@dataclasses.dataclass
+class HostWrite:
+    """An image one schedule step writes in host memory."""
+
+    image: Image
+    #: the writer leaves some pixels unwritten: zero the image first
+    zero: bool
+    #: byte offset into the run's arena piece; ``None`` for a graph
+    #: output, which keeps its own storage
+    offset: Optional[int] = None
+    #: arena row stride in elements
+    stride: int = 0
+
+    def bind(self, piece: np.ndarray) -> None:
+        """Back the image with its planned view of *piece*."""
+        img = self.image
+        dtype = img.pixel_type.np_dtype
+        nbytes = img.height * self.stride * dtype.itemsize
+        view = piece[self.offset:self.offset + nbytes].view(dtype)
+        img._data = view.reshape(img.height, self.stride)
+        img._stride = self.stride
+
+    def prepare(self) -> None:
+        """Give the image fresh-Image contents where its writer will not
+        write, just before the writer runs."""
+        img = self.image
+        if not img._data.flags.writeable:
+            img.clear()             # storage dropped by a release()
+        elif self.zero:
+            img._data.fill(0)
+
+
+@dataclasses.dataclass
+class MemoryPlan:
+    """Where every image a run writes lives, fixed at prepare time."""
+
+    #: per schedule step, the images it writes in host memory
+    writes: List[List[HostWrite]]
+    #: the arena tenants among them
+    tenants: List[HostWrite]
+    #: the native slab's size; it opens the piece
+    slab_bytes: int
+    #: the arena piece one run takes: the slab, then the host tenants
+    nbytes: int
+    stats: PoolStats
+
+    def bind(self, arena: "BufferPool") -> np.ndarray:
+        """Take this plan's piece of *arena* and bind every tenant to
+        its view; returns the piece."""
+        piece = arena.frame(self.nbytes)
+        for write in self.tenants:
+            write.bind(piece)
+        return piece
+
+
+def plan_memory(graph, order, schedule: List[Tuple[str, int]],
+                native=None) -> MemoryPlan:
+    """Lay out every image the steps of *schedule* write in host memory.
+
+    *schedule* is the run's serial step list — ``("sim", node index)``
+    or ``("native", segment)`` — and *native* the
+    :class:`~repro.runtime.native_graph.NativeGraphPlan` whose segments
+    and slab it refers to (``None`` on the simulator tier).  Lifetimes
+    are counted in steps, so a tenant a native segment writes is live
+    from the segment's start, where it is zeroed.
+    """
+    step_of: Dict[int, int] = {}
+    for step, (kind, idx) in enumerate(schedule):
+        for i in (native.segments[idx] if kind == "native" else (idx,)):
+            step_of[id(order[i])] = step
+    intermediates = {id(img) for img in graph.intermediates()}
+    slab_bytes = native.slab_bytes if native is not None else 0
+    writes: List[List[HostWrite]] = [[] for _ in schedule]
+    tenants: List[HostWrite] = []
+    requests: List[Tuple[int, int, int]] = []
+    naive_bytes = 0
+    for node in order:
+        img = node.output
+        stride = padded_stride(img.width,
+                               padding_alignment(node.compiled.device))
+        nbytes = img.height * stride * img.pixel_type.np_dtype.itemsize
+        inter = id(img) in intermediates
+        if inter:
+            naive_bytes += nbytes
+        binding = (native.bindings.get(id(img)) if native is not None
+                   else None)
+        if binding is not None and binding.kind == "slab":
+            continue
+        write = HostWrite(img, zero=not covers_output(node))
+        start = step_of[id(node)]
+        writes[start].append(write)
+        if inter:
+            write.stride = stride
+            end = max(step_of[id(c)] for c in graph.consumers_of(img))
+            requests.append((start, end, -(-nbytes // TENANT_ALIGNMENT)
+                             * TENANT_ALIGNMENT))
+            tenants.append(write)
+    offsets, host_bytes, allocs, reuses = first_fit_layout(requests)
+    for write, offset in zip(tenants, offsets):
+        write.offset = slab_bytes + offset
+    stats = PoolStats(naive_bytes=naive_bytes,
+                      peak_bytes=slab_bytes + host_bytes,
+                      allocs=allocs, reuses=reuses)
+    if native is not None:
+        stats.allocs += native.slab_allocs
+        stats.reuses += native.slab_reuses
+    return MemoryPlan(writes=writes, tenants=tenants,
+                      slab_bytes=slab_bytes,
+                      nbytes=slab_bytes + host_bytes, stats=stats)
+
+
+class BufferPool:
+    """One caller's arena: a grow-only byte buffer that backs the memory
+    plan of whatever graph the caller runs next.
+
+    :meth:`frame` returns a view of the buffer and reallocates it only
+    when a plan needs more bytes than it holds; :attr:`allocs` counts
+    those growths.  A caller runs one graph at a time on its arena (each
+    ``repro serve`` worker thread owns one), and a run's intermediates
+    are only valid until the next run on the same arena.
     """
 
-    def __init__(self, bucket_quantum: int = 4096):
-        if bucket_quantum < 1:
-            raise ValueError("bucket quantum must be positive")
-        self.quantum = bucket_quantum
-        self.stats = PoolStats()
-        # one lock guards the free lists, the live map and the stats:
-        # the scheduler binds/releases from parallel branch workers
-        self._lock = threading.Lock()
-        self._free: Dict[int, List[np.ndarray]] = {}
-        # id(image) -> (raw byte buffer, bucket size)
-        self._live: Dict[int, Tuple[np.ndarray, int]] = {}
+    def __init__(self):
+        self._buf = np.empty(0, dtype=np.uint8)
+        self.allocs = 0
 
-    def _bucket(self, nbytes: int) -> int:
-        return -(-nbytes // self.quantum) * self.quantum
+    def frame(self, nbytes: int) -> np.ndarray:
+        """The arena's first *nbytes* bytes (contents unspecified)."""
+        if nbytes > self._buf.size:
+            self._buf = np.empty(nbytes, dtype=np.uint8)
+            self.allocs += 1
+        return self._buf[:nbytes]
 
-    @staticmethod
-    def padded_stride(width: int, alignment: int) -> int:
-        return -(-width // alignment) * alignment
+    # benchmarks/suite/replay.py still mirrors the old runtime pool with
+    # bind/release/release_all, and that file changes only with the
+    # benchmark definition (ROADMAP item 2); delete these three then
 
     def bind(self, image: Image, alignment: int = 1) -> None:
-        """Back *image* with a pooled buffer padded to *alignment*."""
-        with span("pool.bind", image=image.name) as sp:
-            with self._lock:
-                if id(image) in self._live:
-                    return
-                stride = self.padded_stride(image.width, alignment)
-                nbytes = (image.height * stride
-                          * image.pixel_type.np_dtype.itemsize)
-                bucket = self._bucket(nbytes)
-                free = self._free.get(bucket)
-                if free:
-                    raw = free.pop()
-                    self.stats.reuses += 1
-                else:
-                    raw = np.empty(bucket, dtype=np.uint8)
-                    self.stats.allocs += 1
-                self._live[id(image)] = (raw, bucket)
-                self.stats.current_bytes += bucket
-                self.stats.peak_bytes = max(self.stats.peak_bytes,
-                                            self.stats.current_bytes)
-                sp.attrs["bytes"] = bucket
-            view = raw[:nbytes].view(image.pixel_type.np_dtype)
-            view = view.reshape(image.height, stride)
-            view.fill(0)                      # fresh-Image semantics
-            image._data = view
-            image._stride = stride
+        image.clear()
+        image.apply_padding(alignment)
 
     def release(self, image: Image) -> None:
-        """Return *image*'s pooled backing to the free list.
+        pass
 
-        Idempotent by construction: the second release of an image (and
-        a release of one this pool never bound — graph inputs/outputs)
-        is a no-op that touches neither the free lists nor the stats,
-        so ``current_bytes``/``releases`` cannot drift negative.
-        """
-        with span("pool.release", image=image.name) as sp:
-            with self._lock:
-                entry = self._live.pop(id(image), None)
-                if entry is None:
-                    return
-                raw, bucket = entry
-                self._free.setdefault(bucket, []).append(raw)
-                self.stats.current_bytes -= bucket
-                self.stats.releases += 1
-                sp.attrs["bytes"] = bucket
-
-    def release_all(self) -> int:
-        """Release every live binding; returns how many were released.
-
-        The scheduler's error path runs this so an execution that dies
-        mid-schedule still returns ``current_bytes`` to zero instead of
-        leaking the not-yet-consumed intermediates.
-        """
-        with self._lock:
-            live = list(self._live.values())
-            self._live.clear()
-            for raw, bucket in live:
-                self._free.setdefault(bucket, []).append(raw)
-                self.stats.current_bytes -= bucket
-                self.stats.releases += 1
-        return len(live)
-
-    def reset(self) -> int:
-        """Prepare the arena for the next independent run (``repro
-        serve`` resets each worker's pool between requests).
-
-        Every live binding returns to the free lists and the *per-run*
-        accounting (``naive_bytes``/``peak_bytes``/``current_bytes``)
-        zeroes, but the allocated arenas themselves are kept: a warm
-        request whose intermediates fit the existing buckets binds
-        entirely through ``reuses`` and allocates nothing.  The
-        cumulative counters (``allocs``/``reuses``/``releases``) are
-        left running so callers can assert "no new allocations since
-        the last reset" by diffing ``allocs``.  Idempotent: a second
-        reset is a no-op.  Returns how many live bindings were dropped.
-        """
-        released = self.release_all()
-        with self._lock:
-            self.stats.naive_bytes = 0
-            self.stats.peak_bytes = 0
-            self.stats.current_bytes = 0
-        return released
-
-    @property
-    def live_count(self) -> int:
-        with self._lock:
-            return len(self._live)
+    def release_all(self) -> None:
+        pass

@@ -19,8 +19,8 @@ prefix                 meaning
                        disk_hits, stores, evictions, disk_writes,
                        hit_rate)
 ``cache.frontend.*``   pre-parse fingerprint memo (hits, misses, hit_rate)
-``pool.*``             buffer arena (naive_bytes, peak_bytes,
-                       current_bytes, allocs, reuses, releases)
+``pool.*``             memory plan (naive_bytes, peak_bytes, allocs,
+                       reuses); under serve, the worker arenas' allocs
 ``graph.*``            scheduler (launches, fused_away, cache_hits,
                        compile_wall_ms, execute_wall_ms, device_ms)
 ``serve.*``            request service (requests, batched, dedup_hits,

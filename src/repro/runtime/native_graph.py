@@ -1,14 +1,16 @@
 """Native JIT execution of whole pipeline graphs.
 
 One C translation unit per graph: every native-eligible node's CPU
-lowering (:mod:`repro.backends.cpu`), the buffer pool's arena flattened
-into a single byte slab with compile-time first-fit offsets
-(:func:`repro.graph.pool.first_fit_layout`), and one exported segment
-function per contiguous run of native nodes.  The TU compiles once with
-the system C compiler and :data:`CC_FLAGS` (``-O3 -march=native``: the
-interior loop nests vectorise for the host ISA) and executes through
-ctypes — OpenMP parallelises the interior loop nest of each kernel large
-enough to pay for it (:data:`repro.backends.cpu.PARALLEL_MIN_PIXELS`).
+lowering (:mod:`repro.backends.cpu`), the intermediates only native
+nodes touch laid out in a single byte slab with compile-time first-fit
+offsets (:func:`repro.graph.pool.first_fit_layout`), and one exported
+segment function per contiguous run of native nodes.  The slab is the
+start of the prepared graph's arena piece (:mod:`repro.graph.pool`).
+The TU compiles once with the system C compiler and :data:`CC_FLAGS`
+(``-O3 -march=native``: the interior loop nests vectorise for the host
+ISA) and executes through ctypes — OpenMP parallelises the interior
+loop nest of each kernel large enough to pay for it
+(:data:`repro.backends.cpu.PARALLEL_MIN_PIXELS`).
 A slab tenant is zeroed before its producer runs only when the
 producer's iteration space leaves some of its pixels unwritten; every
 other image is read and written in place, in its own storage at its own
@@ -74,7 +76,8 @@ from ..cache.store import CompilationCache
 from ..dsl.image import Image
 from ..errors import CodegenError
 from ..graph.fusion import _renamed_ir
-from ..graph.pool import BufferPool, first_fit_layout
+from ..graph.pool import (TENANT_ALIGNMENT, covers_output, first_fit_layout,
+                          padded_stride)
 from ..ir.nodes import (
     Assign,
     BinOp,
@@ -114,10 +117,6 @@ CC_FLAGS = ("-fopenmp", "-O3", "-march=native", "-ffp-contract=off",
 #: slab row alignment in *elements* (64 bytes for float32 rows — the
 #: same padding the simulator's launch path would apply)
 SLAB_ALIGNMENT = 16
-
-#: round every slab tenant to this many bytes so rows of the next
-#: tenant start cache-line aligned
-_SLAB_PAD = 64
 
 #: intrinsics whose C lowering is bit-identical to the NumPy
 #: simulator.  IEEE 754 requires correctly-rounded sqrt; fabs/floor/
@@ -439,15 +438,15 @@ def plan_native_graph(graph, order=None) -> NativeGraphPlan:
     # -- slab layout ---------------------------------------------------------
     requests = []
     for img, start, end in slab_images:
-        stride = BufferPool.padded_stride(img.width, SLAB_ALIGNMENT)
+        stride = padded_stride(img.width, SLAB_ALIGNMENT)
         nbytes = img.height * stride * img.pixel_type.np_dtype.itemsize
-        nbytes = -(-nbytes // _SLAB_PAD) * _SLAB_PAD
+        nbytes = -(-nbytes // TENANT_ALIGNMENT) * TENANT_ALIGNMENT
         requests.append((start, end, nbytes))
     offsets, slab_bytes, allocs, reuses = first_fit_layout(requests)
 
     bindings: Dict[int, BufferBinding] = {}
     for slot, ((img, _, _), off) in enumerate(zip(slab_images, offsets)):
-        stride = BufferPool.padded_stride(img.width, SLAB_ALIGNMENT)
+        stride = padded_stride(img.width, SLAB_ALIGNMENT)
         bindings[id(img)] = BufferBinding(kind="slab", index=slot,
                                           offset=off, stride=stride)
     for img in ext_images:
@@ -510,15 +509,6 @@ def _call_line(lw: NodeLowering,
     return f"    {lw.unit.entry}({', '.join(args)});"
 
 
-def _covers_output(node) -> bool:
-    """Whether *node*'s iteration space writes every pixel of its output
-    image — then the bytes an earlier slab tenant left there are all
-    overwritten, and the slab needs no zeroing first."""
-    space, img = node.iteration_space, node.output
-    return (space.offset_x == 0 and space.offset_y == 0
-            and space.width == img.width and space.height == img.height)
-
-
 def emit_graph_source(plan: NativeGraphPlan) -> str:
     """The whole graph as one C99 translation unit."""
     lines: List[str] = [
@@ -546,7 +536,7 @@ def emit_graph_source(plan: NativeGraphPlan) -> str:
             lw = plan.lowerings[idx]
             lines.append(f"    // node {lw.node.name!r}")
             out_b = plan.bindings[id(lw.node.output)]
-            if out_b.kind == "slab" and not _covers_output(lw.node):
+            if out_b.kind == "slab" and not covers_output(lw.node):
                 img = lw.node.output
                 nbytes = (img.height * out_b.stride
                           * img.pixel_type.np_dtype.itemsize)
@@ -632,8 +622,12 @@ class NativeGraphModule:
     entries: List[str]
     _lib: ctypes.CDLL = dataclasses.field(repr=False, default=None)
 
-    def executor(self) -> "NativeGraphExecutor":
-        return NativeGraphExecutor(self)
+    def executor(self, slab: Optional[np.ndarray] = None
+                 ) -> "NativeGraphExecutor":
+        """Per-run state over *slab* — ``plan.slab_bytes`` bytes, the
+        start of a prepared graph's arena piece — or over a slab of its
+        own when ``None``."""
+        return NativeGraphExecutor(self, slab)
 
 
 class NativeGraphExecutor:
@@ -642,12 +636,17 @@ class NativeGraphExecutor:
     in their own storage.  Both tables are refilled before every call:
     between segments a simulator launch may re-pad an image
     (:meth:`~repro.dsl.image.Image.apply_padding`), and
-    ``set_data``/``clear`` replace its storage."""
+    ``set_data``/``clear`` replace its storage.  The slab's contents
+    never matter: a segment zeroes every tenant its writer does not
+    cover before writing it."""
 
-    def __init__(self, module: NativeGraphModule):
+    def __init__(self, module: NativeGraphModule,
+                 slab: Optional[np.ndarray] = None):
         self.module = module
         plan = module.plan
-        self._slab = np.zeros(max(plan.slab_bytes, 1), dtype=np.uint8)
+        if slab is None:
+            slab = np.empty(max(plan.slab_bytes, 1), dtype=np.uint8)
+        self._slab = slab
         slots = max(len(plan.ext_images), 1)
         self._ptrs = (ctypes.c_void_p * slots)()
         self._strides = (ctypes.c_int * slots)()

@@ -7,8 +7,6 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, Optional, Tuple
 
-import numpy as np
-
 from ..backends.base import CodegenOptions, KernelSource
 from ..dsl.accessor import Accessor
 from ..dsl.boundary import Boundary
@@ -27,7 +25,6 @@ class ExecutionReport:
 
     launch: LaunchResult
     timing: TimingBreakdown
-    output: np.ndarray
 
     @property
     def time_ms(self) -> float:
@@ -142,8 +139,4 @@ class CompiledKernel:
         with span("exec.timing", kernel=self.ir.name):
             timing = self.estimate_time()
         launch.estimated_ms = timing.total_ms
-        return ExecutionReport(
-            launch=launch,
-            timing=timing,
-            output=self.iteration_space.image.get_data(),
-        )
+        return ExecutionReport(launch=launch, timing=timing)

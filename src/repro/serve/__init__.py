@@ -14,7 +14,7 @@ process:
   at intake, bounded queue with load shedding, per-request
   timeouts, a worker pool sharing one process-wide
   :class:`~repro.cache.CompilationCache` and per-worker
-  :class:`~repro.graph.pool.BufferPool` arenas reset between requests;
+  :class:`~repro.graph.pool.BufferPool` arenas;
 * :mod:`repro.serve.server` — the stdlib-only threading HTTP front door
   (``POST /v1/execute``, ``GET /metrics``, ``GET /healthz``) with
   graceful SIGTERM drain;

@@ -20,13 +20,12 @@ execution of their own), and a later identical request opens a new
 group.
 
 Every worker thread owns a :class:`~repro.graph.pool.BufferPool` arena
-(thread-local) that is :meth:`~repro.graph.pool.BufferPool.reset`
-between requests — buffers go back to the free lists but the arenas
-stay allocated, so a warm worker executes without touching the
-allocator.  All workers share one process-wide
-:class:`~repro.cache.CompilationCache`; the cache's per-key
-single-flight locking guarantees N concurrent misses of the same kernel
-compile exactly once.
+(thread-local) that backs the memory plan of each graph it runs.  The
+arena only grows, to the largest plan the worker has run, so a warm
+worker executes without touching the allocator.  All workers share one
+process-wide :class:`~repro.cache.CompilationCache`; the cache's
+per-key single-flight locking guarantees N concurrent misses of the
+same kernel compile exactly once.
 
 Above the cache sits a bounded LRU of idle
 :class:`~repro.graph.scheduler.PreparedGraph` instances keyed by request
@@ -366,14 +365,10 @@ class ServeService:
         return out
 
     def _pool_metrics(self) -> Dict[str, float]:
-        """All worker arenas summed into one ``pool.*`` view."""
+        """The worker arenas' growths summed into one ``pool.*`` view."""
         with self._lock:
             pools = list(self._pools)
-        total: Dict[str, float] = {}
-        for pool in pools:
-            for key, value in pool.stats.metrics().items():
-                total[key] = total.get(key, 0) + value
-        return total
+        return {"pool.allocs": sum(pool.allocs for pool in pools)}
 
     def _waiting(self) -> int:
         """Requests no execution has taken up yet: every member of a
@@ -631,28 +626,22 @@ class ServeService:
         with span("serve.exec", fingerprint=fingerprint[:16],
                   engine=engine, request_id=lead_request_id):
             self.stats.bump("executions")
-            # reset in finally: a failed execute/encode must still zero
-            # the per-run pool accounting, or the pool.* metrics drift
-            # after every request error
-            try:
-                t0 = time.perf_counter()
-                if warm is None:
-                    # lint=False: the HIP3xx pass is advisory and
-                    # re-deriving identical diagnostics for every
-                    # structure is pure serving cost
-                    prepared = prepare_graph(
-                        plan.graph, cache=self.cache, workers=1,
-                        engine=engine, lint=False)
-                else:
-                    prepared = warm[1]
-                    plan.source.set_data(data)
-                t1 = time.perf_counter()
-                report = prepared.run(pool=arena, register_metrics=False)
-                t2 = time.perf_counter()
-                encoded = encode_image(plan.output.get_data())
-                t3 = time.perf_counter()
-            finally:
-                arena.reset()
+            t0 = time.perf_counter()
+            if warm is None:
+                # lint=False: the HIP3xx pass is advisory and
+                # re-deriving identical diagnostics for every
+                # structure is pure serving cost
+                prepared = prepare_graph(
+                    plan.graph, cache=self.cache, workers=1,
+                    engine=engine, lint=False)
+            else:
+                prepared = warm[1]
+                plan.source.set_data(data)
+            t1 = time.perf_counter()
+            report = prepared.run(pool=arena, register_metrics=False)
+            t2 = time.perf_counter()
+            encoded = encode_image(plan.output.get_data())
+            t3 = time.perf_counter()
         observe("serve.hist.prepare_ms", (t1 - t0) * 1e3)
         observe("serve.hist.exec_ms", (t2 - t1) * 1e3)
         observe("serve.hist.encode_ms", (t3 - t2) * 1e3)

@@ -49,9 +49,10 @@ def _max_window(kernel: KernelIR) -> tuple:
 
 def padding_alignment(device: DeviceSpec) -> int:
     """Row-stride alignment (in elements) the runtime pads images to on
-    *device* — the Section-II global-memory padding for coalescing.  The
-    graph runtime's buffer pool pre-pads its arena slices to this so a
-    later launch never re-allocates."""
+    *device* — the Section-II global-memory padding for coalescing.  A
+    prepared graph's memory plan pre-pads every arena tenant to its
+    writer's alignment, so the launch never swaps the planned view for
+    a fresh allocation."""
     return max(1, device.memory.coalesce_segment // 4)
 
 

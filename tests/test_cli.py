@@ -153,7 +153,7 @@ class TestTraceCommand:
         names = {e["name"] for e in doc["traceEvents"]
                  if e["ph"] == "X"}
         for expected in ("graph.run", "graph.compile", "graph.schedule",
-                         "graph.node", "pool.bind"):
+                         "graph.node", "exec.launch"):
             assert expected in names, expected
 
     def test_cache_stats_prints_split_hit_rates(self, capsys):

@@ -400,8 +400,9 @@ class TestParallelWorkloadTraces:
         assert validate_chrome_trace(chrome_trace(tracer)) == []
 
     def test_parallel_graph_trace_validates(self, repro_seed):
-        """One parallel execute_graph exports a valid Chrome trace whose
-        spans cover compile, cache, pool and execution stages."""
+        """One execute_graph with a compile thread pool exports a valid
+        Chrome trace whose spans cover compile, cache and execution
+        stages."""
         from repro.obs import get_registry, set_registry
 
         from .test_graph_execution import W, _graph_run, random_image
@@ -421,8 +422,7 @@ class TestParallelWorkloadTraces:
             for expected in ("graph.run", "graph.compile",
                              "graph.node_compile", "graph.schedule",
                              "graph.node", "compile",
-                             "compile.cache_lookup", "pool.bind",
-                             "pool.release", "exec.launch",
+                             "compile.cache_lookup", "exec.launch",
                              "sim.evaluate"):
                 assert expected in names, expected
             # worker threads appeared and were remapped to stable tids
@@ -431,9 +431,10 @@ class TestParallelWorkloadTraces:
             assert 0 in tids and len(tids) > 1
             # the registry snapshot rode along with the export
             metrics = doc["otherData"]["metrics"]
-            assert metrics["pool"]["pool.current_bytes"] == 0
+            assert metrics["pool"]["pool.peak_bytes"] \
+                == report.pool.peak_bytes > 0
             assert metrics["cache"]["cache.ir.misses"] > 0
-            # graph.node spans parent under graph.schedule via stitching
+            # graph.node spans parent under graph.schedule
             by_id = {sp.span_id: sp for sp in tracer.spans()}
             schedule = next(sp for sp in tracer.spans()
                             if sp.name == "graph.schedule")

@@ -10,7 +10,11 @@ and re-runs them with new frames.  The contract under test:
   the same request, including hybrid graphs whose simulator-fallback
   node interleaves with native segments;
 * a re-run never sees pixels a previous run wrote (partial iteration
-  spaces leave the rest of their output at zero, as a fresh image has);
+  spaces leave the rest of their output at zero, as a fresh image has),
+  not even in an arena another graph dirtied, nor after a run that
+  faulted half-way;
+* a warm run allocates no frame, and an arena grows only for a plan
+  larger than any it has backed;
 * native segments read and write external images in their own
   storage: a simulator node that re-pads an image between two segments,
   and an input left released, both read correctly, and the executor
@@ -293,6 +297,145 @@ def test_rerun_reports_no_compile_time():
     assert second.compile_wall_ms == 0.0
     assert [n.footprint for n in first.nodes] \
         == [n.footprint for n in second.nodes]
+
+
+# --------------------------------------------------------------------------
+# The memory plan and the arena
+# --------------------------------------------------------------------------
+
+
+def _hybrid_graph(frame, partial):
+    """Scale (native) -> gamma 0.8 (simulator) -> Sobel (native) ->
+    scale (native).  ``a`` and ``b`` are arena tenants in host memory,
+    written by a native segment and by the simulator; ``c`` is a slab
+    tenant.  With *partial*, the first three writers cover only the
+    inside of their outputs, so the arena's old bytes must be zeroed."""
+    h, w = frame.shape
+    src = Image(w, h, float, name="src").set_data(frame)
+    a, b, c, out = (Image(w, h, float, name=n)
+                    for n in ("a", "b", "c", "out"))
+
+    def space(img):
+        if not partial:
+            return IterationSpace(img)
+        return IterationSpace(img, w - 6, h - 4, offset_x=3, offset_y=2)
+
+    g = PipelineGraph("hybrid")
+    g.add_kernel(Scale(space(a), Accessor(src), 2.0), name="scale_a")
+    g.add_kernel(GammaCorrection(space(b), Accessor(a), 0.8),
+                 name="gamma")
+    g.add_kernel(SobelX(space(c),
+                        Accessor(BoundaryCondition(b, 3, 3,
+                                                   Boundary.CLAMP)),
+                        Mask(3, 3).set(SOBEL_X)), name="sobel")
+    g.add_kernel(Scale(IterationSpace(out), Accessor(c), 0.5),
+                 name="scale_out")
+    g.mark_output(out)
+    return g, src, out
+
+
+def _hybrid_sim(frame):
+    g, _, out = _hybrid_graph(frame, partial=True)
+    execute_graph(g, engine="sim", workers=1, fuse=False)
+    return out.get_data()
+
+
+@pytest.mark.parametrize("engine", [
+    "sim", pytest.param("native", marks=requires_cc)])
+def test_dirty_arena_reads_as_zeros_where_writers_do_not_write(
+        native_env, engine):
+    frame = random_image(40, 24, seed=5) + 1.0
+    arena = BufferPool()
+    dirty, _, _ = _hybrid_graph(frame, partial=False)
+    execute_graph(dirty, engine=engine, workers=1, fuse=False,
+                  pool=arena)
+    g, _, out = _hybrid_graph(frame, partial=True)
+    prepared = prepare_graph(g, engine=engine, workers=1, fuse=False)
+    if engine == "native":
+        plan = prepared.native_module.plan
+        assert [kind for kind, _ in plan.schedule] \
+            == ["native", "sim", "native"]
+        assert plan.slab_bytes > 0
+    prepared.run(pool=arena)
+    assert arena.allocs == 1          # the dirty graph's bytes, reused
+    assert out.get_data().tobytes() == _hybrid_sim(frame).tobytes()
+
+
+@pytest.mark.parametrize("engine", [
+    "sim", pytest.param("native", marks=requires_cc)])
+def test_run_after_a_mid_schedule_fault_is_unaffected(native_env,
+                                                      engine,
+                                                      monkeypatch):
+    frame = random_image(40, 24, seed=6)
+    g, _, out = _hybrid_graph(frame, partial=True)
+    prepared = prepare_graph(g, engine=engine, workers=1, fuse=False)
+    arena = BufferPool()
+    prepared.run(pool=arena)
+
+    def boom():
+        raise RuntimeError("injected launch fault")
+
+    monkeypatch.setattr(prepared.order[1].compiled, "execute", boom)
+    with pytest.raises(RuntimeError, match="injected launch fault"):
+        prepared.run(pool=arena)
+    monkeypatch.undo()
+    prepared.run(pool=arena)
+    assert out.get_data().tobytes() == _hybrid_sim(frame).tobytes()
+
+
+def _warm(pipeline, engine, side=256):
+    """A prepared serve pipeline and its arena after two runs."""
+    plan = plan_request({"pipeline": pipeline},
+                        random_image(side, side, seed=3))
+    prepared = prepare_graph(plan.graph, engine=engine, workers=1)
+    arena = BufferPool()
+    for _ in range(2):
+        prepared.run(pool=arena, register_metrics=False)
+    return prepared, arena
+
+
+@requires_cc
+@pytest.mark.parametrize("pipeline", ["enhance", "denoise"])
+def test_warm_native_run_allocates_no_frame(native_env, pipeline):
+    side = 256
+    prepared, arena = _warm(pipeline, "auto", side)
+    tracemalloc.start()
+    try:
+        report = prepared.run(pool=arena, register_metrics=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.engine_used == "native"
+    assert peak < side * side * 4, peak
+
+
+@pytest.mark.parametrize("engine", [
+    "sim", pytest.param("auto", marks=requires_cc)])
+def test_warm_edge_run_keeps_no_frame(native_env, engine):
+    side = 256
+    prepared, arena = _warm("edge", engine, side)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        prepared.run(pool=arena, register_metrics=False)
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    kept = sum(d.size_diff for d in after.compare_to(before, "filename"))
+    assert kept < side * side * 4, kept
+    assert arena.allocs == 1
+
+
+def test_arena_grows_once_then_stays_flat():
+    arena = BufferPool()
+    for i, side in enumerate([48, 32, 48, 40, 24]):
+        frame = random_image(side, side, seed=i)
+        if i % 2:
+            g = _partial_graph(frame)[0]
+        else:
+            g = _hybrid_graph(frame, partial=False)[0]
+        execute_graph(g, engine="sim", workers=1, fuse=False, pool=arena)
+        assert arena.allocs == 1, (i, side)
 
 
 # --------------------------------------------------------------------------

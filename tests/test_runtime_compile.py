@@ -118,11 +118,10 @@ class TestExecute:
     def test_execute_writes_output(self):
         from scipy.ndimage import correlate
         k, data, dst = _kernel()
-        report = compile_kernel(k).execute()
+        compile_kernel(k).execute()
         ref = correlate(data, np.full((3, 3), 1 / 9, np.float32),
                         mode="nearest")
         np.testing.assert_allclose(dst.get_data(), ref, atol=1e-5)
-        np.testing.assert_allclose(report.output, ref, atol=1e-5)
 
     def test_report_contents(self):
         k, _, _ = _kernel()
