@@ -182,7 +182,7 @@ def measure(size=512):
         "native_nodes": native.native_nodes,
         "launches": native.launches,
         "segments": len(cold.plan.segments),
-        "slab_bytes": cold.plan.slab_bytes,
+        "arena_peak_bytes": native.pool.peak_bytes,
     }
 
 
@@ -192,7 +192,7 @@ def report(quick: bool = False):
     print(f"native graph tier, {size}x{size} frame:")
     print(f"  nodes:               {m['native_nodes']}/{m['launches']} "
           f"native in {m['segments']} segment(s), "
-          f"{m['slab_bytes'] / 1024:.1f} KiB slab")
+          f"{m['arena_peak_bytes'] / 1024:.1f} KiB arena piece")
     print(f"  cold compile:        {m['cold_compile_ms']:8.1f} ms "
           "(plan + emit + cc)")
     print(f"  warm (workdir .so):  {m['warm_workdir_ms']:8.1f} ms "

@@ -32,11 +32,11 @@ import contextlib
 import dataclasses
 import json
 import os
-import tempfile
 import threading
 import time
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from ..atomic import write_atomic
 from ..obs.hist import observe
 
 
@@ -85,17 +85,6 @@ class CacheStats:
         """Hit rate of the pre-parse fingerprint memo alone."""
         total = self.frontend_lookups
         return self.frontend_hits / total if total else 0.0
-
-    @property
-    def hit_rate(self) -> float:
-        """Deprecated alias for :attr:`ir_hit_rate`.
-
-        The old single number excluded the frontend memo entirely, so
-        it misrepresented effectiveness whenever the memo was doing the
-        work — report :attr:`ir_hit_rate` and :attr:`frontend_hit_rate`
-        separately instead.
-        """
-        return self.ir_hit_rate
 
     def as_dict(self) -> Dict[str, float]:
         out: Dict[str, float] = dataclasses.asdict(self)
@@ -392,20 +381,9 @@ class CompilationCache:
 
     def _disk_write(self, key: str, payload: Dict[str, Any]) -> None:
         path = self._disk_path(key)
-        shard_dir = os.path.dirname(path)
         try:
-            os.makedirs(shard_dir, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=shard_dir)
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(payload, fh, separators=(",", ":"))
-                os.replace(tmp, path)     # atomic: readers never see a
-            except BaseException:         # partially-written entry
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            write_atomic(path, json.dumps(payload, separators=(",", ":")))
             with self._lock:
                 self.stats.disk_writes += 1
         except OSError:

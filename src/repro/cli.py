@@ -278,10 +278,9 @@ def cmd_trace(args) -> int:
         assert tracer is get_tracer()
         text = render(tracer, args.format)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            if not text.endswith("\n"):
-                fh.write("\n")
+        from .atomic import write_atomic
+        write_atomic(args.out, text if text.endswith("\n")
+                     else text + "\n")
         print(f"trace ({args.format}, {len(tracer)} spans) written to "
               f"{args.out}", file=sys.stderr)
     else:

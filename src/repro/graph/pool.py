@@ -2,26 +2,25 @@
 
 A naive pipeline materialises one fresh buffer per intermediate image
 and keeps all of them alive to the end — exactly what the hand chained
-examples did.  A prepared graph runs its schedule serially, so schedule
-order is happens-before: :func:`plan_memory` gives every intermediate a
-byte offset at prepare time (:func:`first_fit_layout`), and two
-intermediates share bytes only when the last reader of one runs before
-the writer of the other.  Peak footprint follows the live set of the
-schedule, not the number of edges.
+examples did.  A prepared graph runs its nodes serially in topological
+order, so that order is happens-before: :func:`plan_memory` gives every
+intermediate a byte offset at prepare time (:func:`first_fit_layout`),
+and two intermediates share bytes only when the last reader of one runs
+before the writer of the other.  Peak footprint follows the live set of
+the schedule, not the number of edges.
 
-Both execution tiers use the one plan.  The native tier's
-slab-resident intermediates come first (their offsets are fixed by
-:func:`repro.runtime.native_graph.plan_native_graph` and lowered into
-the C code); every intermediate a run writes in host memory follows
-them.  A run takes one piece of that size from the caller's
-:class:`BufferPool` arena.  Host tenants are pre-padded to their
-writer's device alignment (:func:`repro.sim.launch.padding_alignment`),
-so the launch-time ``apply_padding`` never swaps a planned view for a
-fresh allocation.  Graph outputs stay out of the arena: they keep their
-own storage from run to run.  An image is zeroed before its writer
-runs only when the writer's iteration space leaves some of its pixels
-unwritten (:func:`covers_output`) — the rule the C code's memsets
-follow for slab tenants.
+Both execution tiers use the one plan, and no layout is compiled into
+native code: a native segment takes every image through its pointer
+table (:mod:`repro.runtime.native_graph`).  A run takes one piece of
+the plan's size from the caller's :class:`BufferPool` arena.  Tenants
+are pre-padded to their writer's device alignment
+(:func:`repro.sim.launch.padding_alignment`), so the launch-time
+``apply_padding`` never swaps a planned view for a fresh allocation.
+Graph outputs stay out of the arena: they keep their own storage from
+run to run.  An image is zeroed before its writer's schedule step runs
+only when the writer's iteration space leaves some of its pixels
+unwritten (:func:`covers_output`); :meth:`HostWrite.prepare` is the one
+place either tier zeroes.
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ def first_fit_layout(requests: List[Tuple[int, int, int]]
     """Static first-fit offset assignment over lifetime intervals.
 
     *requests* is a list of ``(start, end, nbytes)`` tuples (inclusive
-    interval of schedule indices during which the buffer is live).
+    interval of schedule positions during which the buffer is live).
     Returns ``(offsets, high_water, allocs, reuses)`` where *offsets*
     parallels *requests*.
     """
@@ -121,7 +120,7 @@ def covers_output(node) -> bool:
 
 @dataclasses.dataclass
 class HostWrite:
-    """An image one schedule step writes in host memory."""
+    """An image one schedule step writes."""
 
     image: Image
     #: the writer leaves some pixels unwritten: zero the image first
@@ -155,79 +154,69 @@ class HostWrite:
 class MemoryPlan:
     """Where every image a run writes lives, fixed at prepare time."""
 
-    #: per schedule step, the images it writes in host memory
+    #: per schedule step, the images it writes
     writes: List[List[HostWrite]]
     #: the arena tenants among them
     tenants: List[HostWrite]
-    #: the native slab's size; it opens the piece
-    slab_bytes: int
-    #: the arena piece one run takes: the slab, then the host tenants
-    nbytes: int
     stats: PoolStats
 
-    def bind(self, arena: "BufferPool") -> np.ndarray:
+    def bind(self, arena: "BufferPool") -> None:
         """Take this plan's piece of *arena* and bind every tenant to
-        its view; returns the piece."""
-        piece = arena.frame(self.nbytes)
+        its view."""
+        piece = arena.frame(self.stats.peak_bytes)
         for write in self.tenants:
             write.bind(piece)
-        return piece
 
 
 def plan_memory(graph, order, schedule: List[Tuple[str, int]],
                 native=None) -> MemoryPlan:
-    """Lay out every image the steps of *schedule* write in host memory.
+    """Lay out every image the steps of *schedule* write.
 
     *schedule* is the run's serial step list — ``("sim", node index)``
     or ``("native", segment)`` — and *native* the
     :class:`~repro.runtime.native_graph.NativeGraphPlan` whose segments
-    and slab it refers to (``None`` on the simulator tier).  Lifetimes
-    are counted in steps, so a tenant a native segment writes is live
-    from the segment's start, where it is zeroed.
+    it refers to (``None`` on the simulator tier).  Lifetimes are
+    counted in positions of *order*: the steps run its nodes in order,
+    a segment a contiguous run of them, so bytes are reused inside a
+    segment too.  A tenant whose writer leaves pixels unwritten is live
+    from the first position of its writer's step, where it is zeroed.
     """
-    step_of: Dict[int, int] = {}
+    step_of: List[int] = [0] * len(order)
+    step_start: List[int] = []
     for step, (kind, idx) in enumerate(schedule):
-        for i in (native.segments[idx] if kind == "native" else (idx,)):
-            step_of[id(order[i])] = step
+        members = native.segments[idx] if kind == "native" else (idx,)
+        step_start.append(members[0])
+        for i in members:
+            step_of[i] = step
+    position = {id(node): i for i, node in enumerate(order)}
     intermediates = {id(img) for img in graph.intermediates()}
-    slab_bytes = native.slab_bytes if native is not None else 0
     writes: List[List[HostWrite]] = [[] for _ in schedule]
     tenants: List[HostWrite] = []
     requests: List[Tuple[int, int, int]] = []
     naive_bytes = 0
-    for node in order:
+    for i, node in enumerate(order):
         img = node.output
-        stride = padded_stride(img.width,
-                               padding_alignment(node.compiled.device))
-        nbytes = img.height * stride * img.pixel_type.np_dtype.itemsize
-        inter = id(img) in intermediates
-        if inter:
-            naive_bytes += nbytes
-        binding = (native.bindings.get(id(img)) if native is not None
-                   else None)
-        if binding is not None and binding.kind == "slab":
-            continue
         write = HostWrite(img, zero=not covers_output(node))
-        start = step_of[id(node)]
-        writes[start].append(write)
-        if inter:
-            write.stride = stride
-            end = max(step_of[id(c)] for c in graph.consumers_of(img))
-            requests.append((start, end, -(-nbytes // TENANT_ALIGNMENT)
-                             * TENANT_ALIGNMENT))
-            tenants.append(write)
-    offsets, host_bytes, allocs, reuses = first_fit_layout(requests)
+        writes[step_of[i]].append(write)
+        if id(img) not in intermediates:
+            continue
+        write.stride = padded_stride(
+            img.width, padding_alignment(node.compiled.device))
+        nbytes = (img.height * write.stride
+                  * img.pixel_type.np_dtype.itemsize)
+        naive_bytes += nbytes
+        start = step_start[step_of[i]] if write.zero else i
+        end = max(position[id(c)] for c in graph.consumers_of(img))
+        requests.append((start, end, -(-nbytes // TENANT_ALIGNMENT)
+                         * TENANT_ALIGNMENT))
+        tenants.append(write)
+    offsets, peak_bytes, allocs, reuses = first_fit_layout(requests)
     for write, offset in zip(tenants, offsets):
-        write.offset = slab_bytes + offset
-    stats = PoolStats(naive_bytes=naive_bytes,
-                      peak_bytes=slab_bytes + host_bytes,
-                      allocs=allocs, reuses=reuses)
-    if native is not None:
-        stats.allocs += native.slab_allocs
-        stats.reuses += native.slab_reuses
+        write.offset = offset
     return MemoryPlan(writes=writes, tenants=tenants,
-                      slab_bytes=slab_bytes,
-                      nbytes=slab_bytes + host_bytes, stats=stats)
+                      stats=PoolStats(naive_bytes=naive_bytes,
+                                      peak_bytes=peak_bytes,
+                                      allocs=allocs, reuses=reuses))
 
 
 class BufferPool:

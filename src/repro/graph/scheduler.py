@@ -315,11 +315,10 @@ class PreparedGraph:
         node_wall_ms: Dict[str, float] = {}
         node_engine: Dict[str, str] = {}
         with span("graph.schedule") as sp:
-            piece = memory.bind(pool if pool is not None else BufferPool())
+            memory.bind(pool if pool is not None else BufferPool())
             if native_module is not None:
                 sp.attrs["engine"] = "native"
-                executor = native_module.executor(
-                    piece[:memory.slab_bytes])
+                executor = native_module.executor()
             for step, (kind, idx) in enumerate(self.schedule):
                 for write in memory.writes[step]:
                     write.prepare()

@@ -31,11 +31,11 @@ from __future__ import annotations
 import dataclasses
 import json
 import os
-import tempfile
 import threading
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
+from ..atomic import write_atomic
 from ..hwmodel.database import DEVICES
 from ..hwmodel.device import DeviceSpec
 
@@ -304,21 +304,10 @@ class TunedDatabase:
             "entries": [self._entries[k].to_dict()
                         for k in sorted(self._entries)],
         }
-        directory = os.path.dirname(self.path) or "."
         try:
-            os.makedirs(directory, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                    json.dump(doc, fh, indent=1, sort_keys=True)
-                    fh.write("\n")
-                os.replace(tmp, self.path)   # atomic: readers never see
-            except BaseException:            # a torn document
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            os.makedirs(os.path.dirname(self.path) or ".", exist_ok=True)
+            write_atomic(self.path,
+                         json.dumps(doc, indent=1, sort_keys=True) + "\n")
         except OSError:
             return False
         return True

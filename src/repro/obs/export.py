@@ -17,10 +17,9 @@ documents carry it under ``otherData.metrics``, the JSON exporter under
 from __future__ import annotations
 
 import json
-import os
-import tempfile
 from typing import Any, Dict, List, Optional
 
+from ..atomic import write_atomic
 from .metrics import get_registry
 from .trace import Span, Tracer
 
@@ -141,19 +140,7 @@ def render(tracer: Tracer, fmt: str = "chrome",
 def write_chrome_trace(tracer: Tracer, path: str,
                        metrics: Optional[Dict[str, Any]] = None) -> str:
     """Atomically write the Chrome-trace document to *path*."""
-    doc = chrome_trace(tracer, metrics)
-    directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=1)
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+    write_atomic(path, json.dumps(chrome_trace(tracer, metrics), indent=1))
     return path
 
 

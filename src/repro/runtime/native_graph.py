@@ -1,20 +1,19 @@
 """Native JIT execution of whole pipeline graphs.
 
 One C translation unit per graph: every native-eligible node's CPU
-lowering (:mod:`repro.backends.cpu`), the intermediates only native
-nodes touch laid out in a single byte slab with compile-time first-fit
-offsets (:func:`repro.graph.pool.first_fit_layout`), and one exported
-segment function per contiguous run of native nodes.  The slab is the
-start of the prepared graph's arena piece (:mod:`repro.graph.pool`).
-The TU compiles once with the system C compiler and :data:`CC_FLAGS`
-(``-O3 -march=native``: the interior loop nests vectorise for the host
-ISA) and executes through ctypes — OpenMP parallelises the interior
-loop nest of each kernel large enough to pay for it
-(:data:`repro.backends.cpu.PARALLEL_MIN_PIXELS`).
-A slab tenant is zeroed before its producer runs only when the
-producer's iteration space leaves some of its pixels unwritten; every
-other image is read and written in place, in its own storage at its own
-row stride.  This is the only route from generated C to machine code.
+lowering (:mod:`repro.backends.cpu`) and one exported segment function
+per contiguous run of native nodes.  A segment takes every image it
+reads or writes through a pointer table and a row-stride table, one
+slot per image, and works on the image in place, in its own storage —
+for an intermediate, its view of the prepared graph's arena piece
+(:mod:`repro.graph.pool`, which also zeroes what a writer leaves
+unwritten).  No memory layout is compiled in.  The TU compiles once
+with the system C compiler and :data:`CC_FLAGS` (``-O3
+-march=native``: the interior loop nests vectorise for the host ISA)
+and executes through ctypes — OpenMP parallelises the interior loop
+nest of each kernel large enough to pay for it
+(:data:`repro.backends.cpu.PARALLEL_MIN_PIXELS`).  This is the only
+route from generated C to machine code.
 
 **The simulator stays the oracle.**  A node joins the native tier only
 when its C lowering is provably byte-identical to the simulator.  The
@@ -45,9 +44,9 @@ sign and payload: NaNs land in the same pixels, but C lets the compiler
 commute ``a + b``, and x86 keeps the first operand's NaN.
 
 Compiled artifacts are content-addressed through the artifact store:
-the graph fingerprint folds every canonical IR, the topology and segment
-structure, the slab layout, the codegen options, the compiler version
-and the target ISA :data:`CC_FLAGS` resolve to on this host.  Warm
+the graph fingerprint folds every canonical IR, the topology, segment
+structure and pointer-table slots, the codegen options, the compiler
+version and the target ISA :data:`CC_FLAGS` resolve to on this host.  Warm
 starts resolve the ``.so`` from the materialised workdir or the artifact
 store and never invoke the C compiler (proven by test via a
 monkeypatched ``subprocess.run``).
@@ -55,7 +54,6 @@ monkeypatched ``subprocess.run``).
 
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import dataclasses
 import hashlib
@@ -63,12 +61,10 @@ import json
 import os
 import re
 import subprocess
-import tempfile
 from typing import Dict, List, Optional, Tuple
 
-import numpy as np
-
 from .. import __version__
+from ..atomic import replacing, write_atomic
 from ..backends.base import CodegenOptions, c_float_literal
 from ..backends.cpu import CpuBackend, CpuKernelUnit, cpu_common_preamble
 from ..cache.key import canonical_ir
@@ -76,8 +72,6 @@ from ..cache.store import CompilationCache
 from ..dsl.image import Image
 from ..errors import CodegenError
 from ..graph.fusion import _renamed_ir
-from ..graph.pool import (TENANT_ALIGNMENT, covers_output, first_fit_layout,
-                          padded_stride)
 from ..ir.nodes import (
     Assign,
     BinOp,
@@ -98,9 +92,9 @@ from .native import compiler_signature, find_c_compiler, native_workdir
 
 #: bump when the emitted TU shape or the ABI of segment entry points
 #: changes — stored entries with another format are ignored.  Any change
-#: to C emission needs this bump: graph_fingerprint hashes IR and layout,
-#: not the emitted source.
-NATIVE_GRAPH_FORMAT = 5
+#: to C emission needs this bump: graph_fingerprint hashes IR and
+#: pointer-table slots, not the emitted source.
+NATIVE_GRAPH_FORMAT = 6
 
 #: the one compile command's flags (``cc <flags> tu.c -o tu.so -lm``),
 #: folded into :func:`graph_fingerprint` together with the target ISA
@@ -113,10 +107,6 @@ NATIVE_GRAPH_FORMAT = 5
 #: product first.
 CC_FLAGS = ("-fopenmp", "-O3", "-march=native", "-ffp-contract=off",
             "-shared", "-fPIC", "-std=c99")
-
-#: slab row alignment in *elements* (64 bytes for float32 rows — the
-#: same padding the simulator's launch path would apply)
-SLAB_ALIGNMENT = 16
 
 #: intrinsics whose C lowering is bit-identical to the NumPy
 #: simulator.  IEEE 754 requires correctly-rounded sqrt; fabs/floor/
@@ -214,18 +204,6 @@ def native_ineligibility(node) -> Optional[str]:
 
 
 @dataclasses.dataclass
-class BufferBinding:
-    """Where one image lives during native execution.  An external
-    image has no compile-time stride: segments take its pointer and row
-    stride from ``ext[index]`` and ``ext_stride[index]``."""
-
-    kind: str          # "slab" | "ext"
-    index: int         # slab tenant ordinal / ext pointer slot
-    offset: int        # byte offset into the slab (0 for ext)
-    stride: Optional[int] = None   # slab row stride in elements
-
-
-@dataclasses.dataclass
 class NodeLowering:
     """One node's place in the native plan."""
 
@@ -248,12 +226,9 @@ class NativeGraphPlan:
     segments: List[List[int]]
     #: interleaved execution plan: ("native", segment) | ("sim", node idx)
     schedule: List[Tuple[str, int]]
-    #: externally-visible images, in ext[] slot order
+    #: every image a native node reads or writes, in ext[] slot order
     ext_images: List[Image]
-    bindings: Dict[int, BufferBinding]    # id(image) -> binding
-    slab_bytes: int
-    slab_allocs: int
-    slab_reuses: int
+    slots: Dict[int, int]                 # id(image) -> ext[] slot
     reasons: Dict[str, str]               # node name -> fallback reason
 
     @property
@@ -369,8 +344,7 @@ def _lower_node(node, index: int) -> NodeLowering:
 
 def plan_native_graph(graph, order=None) -> NativeGraphPlan:
     """Partition *graph* into native segments and simulator launches,
-    classify every image as slab-backed or external, and assign slab
-    offsets by first-fit over topological lifetimes."""
+    and give every image a native node touches an ``ext[]`` slot."""
     order = list(order if order is not None else graph.topological_order())
     lowerings: List[NodeLowering] = []
     reasons: Dict[str, str] = {}
@@ -399,60 +373,16 @@ def plan_native_graph(graph, order=None) -> NativeGraphPlan:
         else:
             schedule.append(("sim", lw.index))
 
-    # -- image classification ----------------------------------------------
-    native_set = {id(lw.node) for lw in lowerings if lw.native}
-    outputs = graph.outputs()
-
-    def touched_by_sim(img: Image) -> bool:
-        producer = graph.producer_of(img)
-        if producer is not None and id(producer) not in native_set:
-            return True
-        return any(id(c) not in native_set
-                   for c in graph.consumers_of(img))
-
-    slab_images: List[Tuple[Image, int, int]] = []   # (img, start, end)
+    slots: Dict[int, int] = {}
     ext_images: List[Image] = []
-    ext_index: Dict[int, int] = {}
-    topo_pos = {id(lw.node): lw.index for lw in lowerings}
-
     for lw in lowerings:
         if not lw.native:
             continue
-        images = [lw.node.output] + [a.image for a in lw.acc_objs.values()]
-        for img in images:
-            if id(img) in ext_index \
-                    or any(img is s for s, _, _ in slab_images):
-                continue
-            producer = graph.producer_of(img)
-            consumers = graph.consumers_of(img)
-            is_intermediate = (producer is not None and consumers
-                               and not any(img is o for o in outputs))
-            if is_intermediate and not touched_by_sim(img):
-                start = topo_pos[id(producer)]
-                end = max(topo_pos[id(c)] for c in consumers)
-                slab_images.append((img, start, end))
-            else:
-                ext_index[id(img)] = len(ext_images)
+        for img in [lw.node.output] + [a.image for a in
+                                       lw.acc_objs.values()]:
+            if id(img) not in slots:
+                slots[id(img)] = len(ext_images)
                 ext_images.append(img)
-
-    # -- slab layout ---------------------------------------------------------
-    requests = []
-    for img, start, end in slab_images:
-        stride = padded_stride(img.width, SLAB_ALIGNMENT)
-        nbytes = img.height * stride * img.pixel_type.np_dtype.itemsize
-        nbytes = -(-nbytes // TENANT_ALIGNMENT) * TENANT_ALIGNMENT
-        requests.append((start, end, nbytes))
-    offsets, slab_bytes, allocs, reuses = first_fit_layout(requests)
-
-    bindings: Dict[int, BufferBinding] = {}
-    for slot, ((img, _, _), off) in enumerate(zip(slab_images, offsets)):
-        stride = padded_stride(img.width, SLAB_ALIGNMENT)
-        bindings[id(img)] = BufferBinding(kind="slab", index=slot,
-                                          offset=off, stride=stride)
-    for img in ext_images:
-        bindings[id(img)] = BufferBinding(kind="ext",
-                                          index=ext_index[id(img)],
-                                          offset=0)
 
     return NativeGraphPlan(
         graph_name=graph.name,
@@ -460,10 +390,7 @@ def plan_native_graph(graph, order=None) -> NativeGraphPlan:
         segments=segments,
         schedule=schedule,
         ext_images=ext_images,
-        bindings=bindings,
-        slab_bytes=slab_bytes,
-        slab_allocs=allocs,
-        slab_reuses=reuses,
+        slots=slots,
         reasons=reasons,
     )
 
@@ -473,31 +400,18 @@ def plan_native_graph(graph, order=None) -> NativeGraphPlan:
 # --------------------------------------------------------------------------
 
 
-def _binding_ptr(b: BufferBinding) -> str:
-    if b.kind == "slab":
-        return f"slab + {b.offset}"
-    return f"ext[{b.index}]"
-
-
-def _binding_stride(b: BufferBinding) -> str:
-    if b.kind == "slab":
-        return str(b.stride)
-    return f"ext_stride[{b.index}]"
-
-
-def _call_line(lw: NodeLowering,
-               bindings: Dict[int, BufferBinding]) -> str:
+def _call_line(lw: NodeLowering, slots: Dict[int, int]) -> str:
     node, ir = lw.node, lw.ir
     space = node.iteration_space
-    out_b = bindings[id(node.output)]
+    out = slots[id(node.output)]
     out_t = ir.pixel_type.cuda_name
-    args = [f"({out_t} *)({_binding_ptr(out_b)})", _binding_stride(out_b)]
+    args = [f"({out_t} *)ext[{out}]", f"ext_stride[{out}]"]
     for acc in ir.accessors:
         img = lw.acc_objs[acc.name].image
-        b = bindings[id(img)]
+        slot = slots[id(img)]
         t = acc.pixel_type.cuda_name
-        args += [f"(const {t} *)({_binding_ptr(b)})",
-                 str(img.width), str(img.height), _binding_stride(b)]
+        args += [f"(const {t} *)ext[{slot}]",
+                 str(img.width), str(img.height), f"ext_stride[{slot}]"]
     args += [str(space.width), str(space.height),
              str(space.offset_x), str(space.offset_y)]
     for p in ir.params:
@@ -516,10 +430,10 @@ def emit_graph_source(plan: NativeGraphPlan) -> str:
         "(native graph tier)",
         f"// {plan.native_count} native node(s), "
         f"{len(plan.segments)} segment(s), "
-        f"{plan.slab_bytes} slab byte(s)",
+        f"{len(plan.ext_images)} image(s)",
     ]
     lines += cpu_common_preamble()
-    lines += ["#include <string.h>", ""]
+    lines.append("")
     for lw in plan.lowerings:
         if not lw.native:
             continue
@@ -530,21 +444,11 @@ def emit_graph_source(plan: NativeGraphPlan) -> str:
         lines.append("")
     for k, seg in enumerate(plan.segments):
         lines.append(f"void repro_graph_seg{k}(void * const *ext, "
-                     "const int *ext_stride, unsigned char *slab) {")
-        lines.append("    (void)ext; (void)ext_stride; (void)slab;")
+                     "const int *ext_stride) {")
         for idx in seg:
             lw = plan.lowerings[idx]
             lines.append(f"    // node {lw.node.name!r}")
-            out_b = plan.bindings[id(lw.node.output)]
-            if out_b.kind == "slab" and not covers_output(lw.node):
-                img = lw.node.output
-                nbytes = (img.height * out_b.stride
-                          * img.pixel_type.np_dtype.itemsize)
-                # fresh-Image / pool zero-fill semantics for the pixels
-                # a partial iteration space leaves unwritten
-                lines.append(f"    memset(slab + {out_b.offset}, 0, "
-                             f"{nbytes});")
-            lines.append(_call_line(lw, plan.bindings))
+            lines.append(_call_line(lw, plan.slots))
         lines.append("}")
         lines.append("")
     return "\n".join(lines)
@@ -557,8 +461,8 @@ def emit_graph_source(plan: NativeGraphPlan) -> str:
 
 def graph_fingerprint(plan: NativeGraphPlan, cc: str) -> str:
     """sha256 content address of the native compilation: canonical IRs,
-    topology/segments, slab layout, codegen options, compiler version,
-    flags and the target ISA the flags resolve to.
+    topology/segments, pointer-table slots, codegen options, compiler
+    version, flags and the target ISA the flags resolve to.
     Any change that could alter the emitted TU or its ABI changes the
     fingerprint, so stale ``.so`` artifacts can never be resurrected."""
     nodes = []
@@ -571,35 +475,29 @@ def graph_fingerprint(plan: NativeGraphPlan, cc: str) -> str:
                                            is_written=False)
                        for a in lw.ir.accessors])
         space = lw.node.iteration_space
-        bindings = [_canonical_binding(plan.bindings[id(img)], img)
-                    for img in ([lw.node.output]
-                                + [lw.acc_objs[a.name].image
-                                   for a in lw.ir.accessors])]
+        images = [[plan.slots[id(img)], img.width, img.height,
+                   img.pixel_type.name]
+                  for img in ([lw.node.output]
+                              + [lw.acc_objs[a.name].image
+                                 for a in lw.ir.accessors])]
         params = [[p.name, repr(float(p.value) if p.type.is_float
                                 else int(p.value))]
                   for p in lw.ir.params if not p.baked]
         nodes.append([lw.index, canonical_ir(pristine),
                       [space.width, space.height,
                        space.offset_x, space.offset_y],
-                      bindings, params])
+                      images, params])
     doc = {
         "kind": "native-graph",
         "format": NATIVE_GRAPH_FORMAT,
         "version": __version__,
         "cc": compiler_signature(cc, CC_FLAGS),
         "flags": list(CC_FLAGS),
-        "alignment": SLAB_ALIGNMENT,
         "nodes": nodes,
         "segments": plan.segments,
-        "slab_bytes": plan.slab_bytes,
     }
     blob = json.dumps(doc, separators=(",", ":"), sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def _canonical_binding(b: BufferBinding, img: Image) -> List:
-    return [b.kind, b.index, b.offset, b.stride, img.width, img.height,
-            img.pixel_type.name]
 
 
 # --------------------------------------------------------------------------
@@ -622,35 +520,25 @@ class NativeGraphModule:
     entries: List[str]
     _lib: ctypes.CDLL = dataclasses.field(repr=False, default=None)
 
-    def executor(self, slab: Optional[np.ndarray] = None
-                 ) -> "NativeGraphExecutor":
-        """Per-run state over *slab* — ``plan.slab_bytes`` bytes, the
-        start of a prepared graph's arena piece — or over a slab of its
-        own when ``None``."""
-        return NativeGraphExecutor(self, slab)
+    def executor(self) -> "NativeGraphExecutor":
+        """Per-run state: the pointer and row-stride tables."""
+        return NativeGraphExecutor(self)
 
 
 class NativeGraphExecutor:
-    """Per-execution state: the slab plus a pointer table and a row
-    stride table for the external images, which segments read and write
-    in their own storage.  Both tables are refilled before every call:
-    between segments a simulator launch may re-pad an image
+    """Per-execution state: a pointer table and a row stride table over
+    the plan's images, which segments read and write in their own
+    storage.  Both tables are refilled before every call: a memory plan
+    binds an intermediate to its arena view, between segments a
+    simulator launch may re-pad an image
     (:meth:`~repro.dsl.image.Image.apply_padding`), and
-    ``set_data``/``clear`` replace its storage.  The slab's contents
-    never matter: a segment zeroes every tenant its writer does not
-    cover before writing it."""
+    ``set_data``/``clear`` replace its storage."""
 
-    def __init__(self, module: NativeGraphModule,
-                 slab: Optional[np.ndarray] = None):
+    def __init__(self, module: NativeGraphModule):
         self.module = module
-        plan = module.plan
-        if slab is None:
-            slab = np.empty(max(plan.slab_bytes, 1), dtype=np.uint8)
-        self._slab = slab
-        slots = max(len(plan.ext_images), 1)
+        slots = len(module.plan.ext_images)
         self._ptrs = (ctypes.c_void_p * slots)()
         self._strides = (ctypes.c_int * slots)()
-        self._slab_ptr = ctypes.c_void_p(self._slab.ctypes.data)
 
     def run_segment(self, k: int) -> None:
         for j, img in enumerate(self.module.plan.ext_images):
@@ -663,32 +551,7 @@ class NativeGraphExecutor:
             self._ptrs[j] = pixels.ctypes.data
             self._strides[j] = img.stride
         fn = getattr(self.module._lib, self.module.entries[k])
-        fn(self._ptrs, self._strides, self._slab_ptr)
-
-
-@contextlib.contextmanager
-def _replacing(path: str):
-    """Yield a temporary path beside *path*; rename it onto *path* when
-    the block succeeds, remove it when it raises.  Readers probing
-    *path* (another process sharing the workdir) never see a partial
-    file."""
-    fd, tmp = tempfile.mkstemp(suffix=".tmp",
-                               dir=os.path.dirname(path))
-    os.close(fd)
-    try:
-        yield tmp
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
-
-
-def _atomic_write(path: str, blob: bytes) -> None:
-    with _replacing(path) as tmp, open(tmp, "wb") as fh:
-        fh.write(blob)
+        fn(self._ptrs, self._strides)
 
 
 def compile_native_graph(graph, order=None,
@@ -739,7 +602,7 @@ def compile_native_graph(graph, order=None,
                 payload, blob = hit
                 if (payload.get("kind") == "native-graph"
                         and payload.get("format") == NATIVE_GRAPH_FORMAT):
-                    _atomic_write(so_path, blob)
+                    write_atomic(so_path, blob)
                     try:
                         lib = ctypes.CDLL(so_path)
                         origin = "store"
@@ -753,10 +616,10 @@ def compile_native_graph(graph, order=None,
                     cache.invalidate(key)
         if lib is None:
             c_path = so_path[:-3] + ".c"
-            _atomic_write(c_path, source.encode())
+            write_atomic(c_path, source)
             # a half-written so_path would fail another process's CDLL
             # and be healed away (unlinked) while cc is still writing it
-            with _replacing(so_path) as tmp:
+            with replacing(so_path) as tmp:
                 result = subprocess.run(
                     [cc, *CC_FLAGS, c_path, "-o", tmp, "-lm"],
                     capture_output=True, text=True, timeout=240)
@@ -782,11 +645,9 @@ def compile_native_graph(graph, order=None,
             fn = getattr(lib, entry)
             fn.restype = None
             fn.argtypes = [ctypes.POINTER(ctypes.c_void_p),
-                           ctypes.POINTER(ctypes.c_int),
-                           ctypes.c_void_p]
+                           ctypes.POINTER(ctypes.c_int)]
         sp.attrs.update(origin=origin, segments=len(plan.segments),
-                        native_nodes=plan.native_count,
-                        slab_bytes=plan.slab_bytes)
+                        native_nodes=plan.native_count)
         return NativeGraphModule(plan=plan, fingerprint=fingerprint,
                                  library_path=so_path, source=source,
                                  origin=origin, entries=entries,

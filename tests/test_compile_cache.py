@@ -364,11 +364,12 @@ class TestHitRates:
         assert (s.frontend_hits, s.frontend_misses) == (1, 1)
         assert s.frontend_hit_rate == 0.5
 
-    def test_alias_dict_and_summary_expose_both_rates(self):
+    def test_dict_and_summary_expose_both_rates(self):
         from repro.cache.store import CacheStats
 
         s = CacheStats(hits=3, misses=1, frontend_hits=5)
-        assert s.hit_rate == s.ir_hit_rate == 0.75     # legacy alias
+        assert s.ir_hit_rate == 0.75
+        assert not hasattr(s, "hit_rate")     # no conflated single rate
         assert s.frontend_hit_rate == 1.0
         d = s.as_dict()
         assert d["ir_hit_rate"] == 0.75

@@ -1,13 +1,14 @@
-"""The CPU lowering's border frame and slab zeroing, differentially.
+"""The CPU lowering's border frame and output zeroing, differentially.
 
 A stencil's C lowering runs its interior as one unguarded loop nest and
 every pixel outside it through one out-of-line border function with
 two-sided index adjustments.  These tests drive that split through
 every boundary mode, window sizes from 1 to 13, degenerate layouts
 (the window wider than half the image) and offset or partial iteration
-spaces, each byte-identical to the simulator.  The slab tests pin when
-``emit_graph_source`` may skip zeroing a node's output: only when its
-iteration space writes every pixel.
+spaces, each byte-identical to the simulator.  The chain tests pin where a
+node's output is zeroed: in the memory plan, before the node's schedule
+step, and only when its iteration space leaves pixels unwritten — never
+in the emitted C.
 """
 
 import numpy as np
@@ -25,6 +26,7 @@ from repro import (
 )
 from repro.filters.point_ops import Scale
 from repro.graph import compile_graph
+from repro.graph.pool import plan_memory
 from repro.runtime.native_graph import emit_graph_source, plan_native_graph
 
 from .helpers import MaskConvolution, assert_native_matches_sim, random_image
@@ -120,13 +122,14 @@ def test_border_frame_matches_simulator(native_env, layout, window):
 
 
 def _chain(frame, last_space=None):
-    """scale -> 3x3 conv -> 3x3 conv -> scale over 4 images sharing the
-    slab: ``t3`` (made by the third node) reuses ``t1``'s bytes."""
+    """scale -> 3x3 conv -> 3x3 conv -> scale, one native segment over
+    three arena intermediates: ``t3`` (made by the third node) reuses
+    ``t1``'s bytes when its writer covers it."""
     w, h = frame.shape[1], frame.shape[0]
     src = Image(w, h, float, name="src").set_data(frame)
     t1, t2, t3, out = (Image(w, h, float, name=n)
                        for n in ("t1", "t2", "t3", "out"))
-    g = PipelineGraph("slab-chain")
+    g = PipelineGraph("chain")
     g.add_kernel(Scale(IterationSpace(t1), Accessor(src), 3.0),
                  name="scale")
 
@@ -143,32 +146,52 @@ def _chain(frame, last_space=None):
     return g, out
 
 
-def _source(g):
+def _planned(g):
+    """The chain's memory plan and emitted C."""
     compile_graph(g, cache=False, workers=1)
-    plan = plan_native_graph(g)
+    order = g.topological_order()
+    plan = plan_native_graph(g, order)
     assert plan.native_count == 4
-    return plan, emit_graph_source(plan)
+    assert plan.schedule == [("native", 0)]
+    return (plan_memory(g, order, plan.schedule, plan),
+            emit_graph_source(plan))
 
 
-def test_full_cover_nodes_emit_no_memset():
-    plan, source = _source(_chain(random_image(32, 24))[0])
-    assert plan.slab_reuses >= 1
-    assert "memset" not in source
+def _zeroed(memory):
+    return [w.image.name for step in memory.writes for w in step
+            if w.zero]
 
 
-def test_partial_producer_keeps_memset():
+def test_full_cover_chain_reuses_bytes_and_zeroes_nothing():
+    memory, source = _planned(_chain(random_image(32, 24))[0])
+    assert memory.stats.reuses >= 1
+    assert _zeroed(memory) == []
+    assert "memset" not in source and "slab" not in source
+
+
+def test_full_cover_chain_fits_two_frames():
+    # the compile-time slab this plan replaces held t1 and t2 and put t3
+    # over t1: two 32x24 float frames
+    memory, _ = _planned(_chain(random_image(32, 24))[0])
+    assert memory.stats.peak_bytes <= 2 * 32 * 24 * 4
+
+
+def test_partial_producer_is_zeroed_by_the_plan_not_the_code():
     def partial(img):
         return IterationSpace(img, 20, 14, 5, 6)
 
-    plan, source = _source(_chain(random_image(32, 24), partial)[0])
-    assert plan.slab_reuses >= 1
-    assert source.count("memset(") == 1
+    memory, source = _planned(_chain(random_image(32, 24), partial)[0])
+    assert _zeroed(memory) == ["t3"]
+    # t3 is zeroed where its segment starts, so it stays clear of the
+    # bytes of t1 and t2, both live inside that segment
+    assert memory.stats.reuses == 0
+    assert "memset" not in source and "slab" not in source
 
 
 @requires_cc
-def test_partial_producer_over_reused_slab_matches_simulator(native_env):
-    # t3 inherits t1's bytes: without its memset, the pixels conv_b
-    # leaves unwritten would carry t1's values instead of zeros
+def test_partial_producer_in_a_segment_matches_simulator(native_env):
+    # the pixels conv_b leaves unwritten must read as zeros, not as
+    # whatever the arena held
     frame = random_image(32, 24, seed=3) + 1.0
 
     def build():

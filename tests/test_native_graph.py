@@ -37,6 +37,7 @@ from repro.filters.gaussian import GaussianFilter, gaussian_mask_2d
 from repro.filters.point_ops import AddConstant, Scale, Threshold
 from repro.filters.sobel import SOBEL_X, SobelX
 from repro.graph import compile_graph, execute_graph
+from repro.graph.pool import plan_memory
 from repro.runtime import native, native_graph
 from repro.runtime.native import clear_compiler_cache, find_c_compiler
 from repro.runtime.native_graph import (
@@ -75,7 +76,7 @@ def _sobel(space, acc_img):
 
 
 def _simple_graph(frame):
-    """Scale -> SobelX: one slab intermediate, fully native."""
+    """Scale -> SobelX: one arena intermediate, fully native."""
     src = _img(frame, "src")
     a, out = _img(name="a"), _img(name="out")
     g = PipelineGraph("native-simple")
@@ -295,16 +296,20 @@ def test_native_ineligibility_reasons():
     assert reason is not None and "pow" in reason
 
 
-def test_plan_segments_and_slab():
+def test_plan_segments_and_slots():
     g, _ = _simple_graph(random_image(W, H))
     compile_graph(g, cache=False, workers=1)
-    plan = plan_native_graph(g)
+    order = g.topological_order()
+    plan = plan_native_graph(g, order)
     assert plan.native_count == 2
     assert plan.segments == [[0, 1]]          # one contiguous segment
     assert plan.schedule == [("native", 0)]
-    # src + out are external; the intermediate lives in the slab
-    assert len(plan.ext_images) == 2
-    assert plan.slab_bytes > 0 and plan.slab_allocs == 1
+    # src, the intermediate and out each take one ext[] slot; the
+    # intermediate is the memory plan's one arena tenant
+    assert len(plan.ext_images) == 3
+    memory = plan_memory(g, order, plan.schedule, plan)
+    assert [w.image.name for w in memory.tenants] == ["a"]
+    assert memory.stats.allocs == 1 and memory.stats.peak_bytes > 0
 
 
 def test_uncompiled_graph_rejected():

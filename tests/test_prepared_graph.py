@@ -15,8 +15,9 @@ and re-runs them with new frames.  The contract under test:
   faulted half-way;
 * a warm run allocates no frame, and an arena grows only for a plan
   larger than any it has backed;
-* native segments read and write external images in their own
-  storage: a simulator node that re-pads an image between two segments,
+* native segments read and write every image in its own storage (an
+  intermediate in the arena): a simulator node that re-pads an image
+  between two segments,
   and an input left released, both read correctly, and the executor
   allocates no frame-sized staging array;
 * concurrent same-structure requests never share an instance;
@@ -306,10 +307,11 @@ def test_rerun_reports_no_compile_time():
 
 def _hybrid_graph(frame, partial):
     """Scale (native) -> gamma 0.8 (simulator) -> Sobel (native) ->
-    scale (native).  ``a`` and ``b`` are arena tenants in host memory,
-    written by a native segment and by the simulator; ``c`` is a slab
-    tenant.  With *partial*, the first three writers cover only the
-    inside of their outputs, so the arena's old bytes must be zeroed."""
+    scale (native).  ``a``, ``b`` and ``c`` are arena tenants, written
+    by a native segment, by the simulator and inside a native segment;
+    ``c`` reuses ``a``'s bytes.  With *partial*, the first three writers
+    cover only the inside of their outputs, so the arena's old bytes
+    must be zeroed."""
     h, w = frame.shape
     src = Image(w, h, float, name="src").set_data(frame)
     a, b, c, out = (Image(w, h, float, name=n)
@@ -355,7 +357,7 @@ def test_dirty_arena_reads_as_zeros_where_writers_do_not_write(
         plan = prepared.native_module.plan
         assert [kind for kind, _ in plan.schedule] \
             == ["native", "sim", "native"]
-        assert plan.slab_bytes > 0
+    assert prepared.memory.stats.reuses >= 1
     prepared.run(pool=arena)
     assert arena.allocs == 1          # the dirty graph's bytes, reused
     assert out.get_data().tobytes() == _hybrid_sim(frame).tobytes()
@@ -381,6 +383,40 @@ def test_run_after_a_mid_schedule_fault_is_unaffected(native_env,
     monkeypatch.undo()
     prepared.run(pool=arena)
     assert out.get_data().tobytes() == _hybrid_sim(frame).tobytes()
+
+
+def _scale_sobel(frame):
+    """Scale -> Sobel: one native segment, ``mid`` its intermediate."""
+    h, w = frame.shape
+    src = Image(w, h, float, name="src").set_data(frame)
+    mid, out = Image(w, h, float, name="mid"), Image(w, h, float,
+                                                     name="out")
+    g = PipelineGraph("scale-sobel")
+    g.add_kernel(Scale(IterationSpace(mid), Accessor(src), 2.0),
+                 name="scale")
+    g.add_kernel(SobelX(IterationSpace(out),
+                        Accessor(BoundaryCondition(mid, 3, 3,
+                                                   Boundary.CLAMP)),
+                        Mask(3, 3).set(SOBEL_X)), name="sobel")
+    g.mark_output(out)
+    return g, mid, out
+
+
+@requires_cc
+def test_native_intermediate_is_a_view_of_the_arena(native_env):
+    frame = random_image(40, 24, seed=8)
+    g, mid, out = _scale_sobel(frame)
+    prepared = prepare_graph(g, engine="native", workers=1)
+    assert prepared.native_module.plan.schedule == [("native", 0)]
+    arena = BufferPool()
+    for _ in range(2):
+        prepared.run(pool=arena)
+    piece = arena.frame(prepared.memory.stats.peak_bytes)
+    assert np.shares_memory(mid.pixels, piece)
+    assert not np.shares_memory(out.pixels, piece)
+    ref, _, ref_out = _scale_sobel(frame)
+    execute_graph(ref, engine="sim", workers=1)
+    assert out.get_data().tobytes() == ref_out.get_data().tobytes()
 
 
 def _warm(pipeline, engine, side=256):
@@ -509,7 +545,6 @@ def test_executor_stages_nothing(native_env):
     plan = plan_request({"pipeline": "enhance"}, frame)
     prepared = prepare_graph(plan.graph, engine="native", workers=1)
     module = prepared.native_module
-    assert module.plan.slab_bytes == 0
     prepared.run()
     tracemalloc.start()
     try:
