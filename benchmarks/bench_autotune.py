@@ -36,7 +36,7 @@ import argparse
 
 import numpy as np
 
-from repro.cache.key import pristine_ir_digest
+from repro.cache.key import ir_digest
 from repro.cli import _build_filter
 from repro.mapping.optdb import TunedDatabase
 from repro.mapping.tuner import TUNER_STATS, exhaustive_best, tune_kernel
@@ -85,7 +85,7 @@ def consult_with_zero_trials(name, size, db):
     assert new_trials == 0, \
         f"{name}: consulting the database cost {new_trials} trials"
     assert new_hits == 1, f"{name}: tuned lookup did not hit"
-    entry = db.lookup(pristine_ir_digest(compiled.ir), DEVICE, "cuda")
+    entry = db.lookup(ir_digest(compiled.ir), DEVICE, "cuda")
     assert entry is not None \
         and tuple(compiled.options.block) == tuple(entry.block), \
         f"{name}: compile did not adopt the tuned winner"

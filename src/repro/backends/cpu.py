@@ -26,6 +26,7 @@ import numpy as np
 
 from ..dsl.boundary import Boundary
 from ..errors import CodegenError
+from ..ir.analysis import max_window
 from ..ir.nodes import Call, KernelIR
 from ..ir.visitors import map_exprs
 from ..types import FLOAT
@@ -347,12 +348,8 @@ class CpuBackend:
                 "the iteration-space geometry")
         kernel = _numpy_min_max(prepare_kernel(kernel, self.options))
         width, height = launch_geometry
-        window = (1, 1)
-        for acc in kernel.accessors:
-            window = (max(window[0], acc.window[0]),
-                      max(window[1], acc.window[1]))
         # block (1,1): regions in exact pixel strips
-        layout = classify_regions(width, height, (1, 1), window)
+        layout = classify_regions(width, height, (1, 1), max_window(kernel))
         box = None
         for r in layout.regions:
             if r.is_interior and r.bx_hi > r.bx_lo and r.by_hi > r.by_lo:

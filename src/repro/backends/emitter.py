@@ -25,7 +25,7 @@ from ..ir.nodes import (
     VarRef,
 )
 from ..hwmodel.resources import smem_tile_geometry
-from ..ir.analysis import analyze_accesses
+from ..ir.analysis import max_window, read_accessors
 from ..ir.visitors import iter_all_exprs, walk_stmts
 from ..types import ScalarType
 from .base import (
@@ -486,20 +486,8 @@ class KernelEmitter:
                 ) -> Optional[RegionLayout]:
         if launch_geometry is None:
             return None
-        window = self._max_window(kernel)
         return classify_regions(launch_geometry[0], launch_geometry[1],
-                                self.effective_block(), window)
-
-    @staticmethod
-    def _max_window(kernel: KernelIR) -> Tuple[int, int]:
-        """Largest accessor window ("In case multiple Accessors are used
-        within one kernel, the largest window size specified is taken",
-        Section IV-B)."""
-        wx, wy = 1, 1
-        for acc in kernel.accessors:
-            wx = max(wx, acc.window[0])
-            wy = max(wy, acc.window[1])
-        return (wx, wy)
+                                self.effective_block(), max_window(kernel))
 
     def _dispatch_constants(self, layout: Optional[RegionLayout]
                             ) -> List[str]:
@@ -575,11 +563,8 @@ class KernelEmitter:
                     f"divisible by the vector width "
                     f"{self.options.vectorize}")
         kernel = prepare_kernel(kernel, self.options)
-        accesses = analyze_accesses(kernel)
-        for acc in kernel.accessors:
-            info = accesses.get(acc.name)
-            if info is not None:
-                acc.is_read = info.is_read
+        #: accessors the prepared kernel reads (texture path, qualifiers)
+        self.read_set = read_accessors(kernel)
 
         layout = self._layout(kernel, launch_geometry)
         regions = self._regions_to_emit(layout)
@@ -645,7 +630,7 @@ class KernelEmitter:
         host_code = self.generate_host_code(kernel, layout)
         texture_refs = tuple(
             f"_tex{a.name}" for a in kernel.accessors
-            if self.options.use_texture and a.is_read)
+            if self.options.use_texture and a.name in self.read_set)
         constant_symbols = tuple(
             self.mask_symbol(m) for m in kernel.masks
             if self.options.mask_memory == MaskMemory.CONSTANT)

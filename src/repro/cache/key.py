@@ -123,9 +123,12 @@ def canonical_stmt(s: Stmt) -> List[Any]:
 
 
 def _canonical_accessor(a: AccessorInfo) -> List[Any]:
+    # the two False slots held read/write flags the IR no longer carries;
+    # keeping them keeps every cache key, native fingerprint and persisted
+    # tuned-database key byte-identical to the ones already on disk
     return ["accessor", a.name, a.pixel_type.name, a.boundary_mode,
             float(a.boundary_constant).hex(), list(a.window),
-            bool(a.is_read), bool(a.is_written), a.interpolation,
+            False, False, a.interpolation,
             list(a.out_size) if a.out_size else None]
 
 
@@ -159,23 +162,6 @@ def ir_digest(ir: KernelIR) -> str:
     blob = json.dumps(canonical_ir(ir), separators=(",", ":"),
                       sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
-
-
-def pristine_ir_digest(ir: KernelIR) -> str:
-    """:func:`ir_digest` over the pre-analysis form of *ir*.
-
-    Codegen fills ``AccessorInfo.is_read``/``is_written`` in place, so
-    the digest of an IR object depends on whether it has been through a
-    backend yet.  Normalising the usage flags back to their defaults
-    gives every consumer — the compile drivers, the auto-tuner's
-    persistent :class:`~repro.mapping.optdb.TunedDatabase` keys — one
-    stable fingerprint per kernel, identical before and after
-    compilation and across processes.
-    """
-    pristine = dataclasses.replace(ir, accessors=[
-        dataclasses.replace(a, is_read=False, is_written=False)
-        for a in ir.accessors])
-    return ir_digest(pristine)
 
 
 def device_signature(device: DeviceSpec) -> Dict[str, Any]:

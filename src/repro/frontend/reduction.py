@@ -131,7 +131,6 @@ def parse_reduction(reduction: GlobalReduction) -> ReductionIR:
         pixel_type=pixel_type,
         boundary_mode=reduction.accessor.boundary_mode.value,
         window=(1, 1),
-        is_read=True,
     )
     # type check by wrapping as a kernel with LEFT/RIGHT as runtime params
     from ..ir.nodes import ParamInfo

@@ -1,7 +1,7 @@
 """Typed kernel intermediate representation.
 
 The frontend lowers the restricted-Python kernel body into this IR; analyses
-(CFG construction, read/write analysis, window inference), transformations
+(CFG construction, the read set, the bounded-offset rule), transformations
 (constant propagation, loop unrolling) and both code-generation backends
 operate on it, as does the functional GPU simulator.  This mirrors HIPAcc's
 use of the Clang AST as the single representation shared by its analyses and
@@ -37,13 +37,7 @@ from .visitors import ExprTransformer, walk_exprs, walk_stmts  # noqa: F401
 from .printer import format_kernel  # noqa: F401
 from .typecheck import typecheck_kernel  # noqa: F401
 from .cfg import CFG, build_cfg  # noqa: F401
-from .analysis import (  # noqa: F401
-    AccessInfo,
-    InstructionMix,
-    analyze_accesses,
-    count_instruction_mix,
-    infer_window,
-)
+from .analysis import InstructionMix, count_instruction_mix  # noqa: F401
 from .transforms import propagate_constants, unroll_loops  # noqa: F401
 from .optimize import (  # noqa: F401
     eliminate_common_subexpressions,

@@ -1,14 +1,16 @@
 """Static analyses over the kernel IR.
 
-* :func:`analyze_accesses` — the paper's read/write analysis (Section IV-A):
-  traverse the CFG and record, per Accessor, whether it is read, how many
-  syntactic read sites exist, and the constant offset ranges when they can be
-  determined.  The backends use this to pick texture read vs. write paths and
-  to emit OpenCL ``read_only``/``write_only`` qualifiers.
+* :func:`read_accessors` — the paper's read analysis (Section IV-A): the
+  accessors a kernel reads.  The backends use it to pick texture read
+  paths and to emit OpenCL ``read_only``/``write_only`` qualifiers.
 
-* :func:`infer_window` — the window (2m+1)x(2n+1) a local operator touches,
-  combining BoundaryCondition metadata with offsets derived from constant
-  loop bounds.
+* :func:`read_offset_bounds` — the bounded-offset rule: per accessor
+  read, constant bounds on its offsets from constants and constant-trip
+  loop variables.  It separates lint's HIP107 from HIP401 and decides
+  HIP204.
+
+* :func:`max_window` — the largest accessor window, which sizes the
+  nine-region border dispatch (Section IV-B) in codegen and simulator.
 
 * :func:`count_instruction_mix` — a weighted dynamic instruction count per
   output pixel (ALU ops, SFU/transcendental ops, memory reads), feeding the
@@ -18,10 +20,9 @@
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Set, Tuple
 
 from ..intrinsics import resolve
-from .cfg import build_cfg
 from .nodes import (
     AccessorRead,
     Assign,
@@ -41,62 +42,28 @@ from .nodes import (
     VarRef,
     const_int_value,
 )
-from .visitors import stmt_exprs, walk_exprs
+from .visitors import iter_all_exprs, stmt_exprs, walk_exprs
 
 
 # --------------------------------------------------------------------------
-# Read/write analysis
+# Accesses
 # --------------------------------------------------------------------------
 
 
-@dataclasses.dataclass
-class AccessInfo:
-    """Access summary for one Accessor (access metadata, paper Section II)."""
+def read_accessors(kernel: KernelIR) -> Set[str]:
+    """Names of the accessors *kernel* reads (paper Section IV-A)."""
+    return {e.accessor for e in iter_all_exprs(kernel.body)
+            if isinstance(e, AccessorRead)}
 
-    name: str
-    is_read: bool = False
-    read_sites: int = 0
-    #: Constant offset bounds (min_dx, max_dx, min_dy, max_dy); None when
-    #: an offset is not statically constant.  ``has_x/y_bounds`` separates
-    #: "no reads merged yet" from "unbounded".
-    min_dx: Optional[int] = 0
-    max_dx: Optional[int] = 0
-    min_dy: Optional[int] = 0
-    max_dy: Optional[int] = 0
-    has_x_bounds: bool = False
-    has_y_bounds: bool = False
 
-    def merge_x_bounds(self, bounds: Optional[Tuple[int, int]]) -> None:
-        if bounds is None:
-            self.min_dx = self.max_dx = None
-            self.has_x_bounds = True
-        elif not self.has_x_bounds:
-            self.min_dx, self.max_dx = bounds
-            self.has_x_bounds = True
-        elif self.min_dx is not None:
-            self.min_dx = min(self.min_dx, bounds[0])
-            self.max_dx = max(self.max_dx, bounds[1])
-
-    def merge_y_bounds(self, bounds: Optional[Tuple[int, int]]) -> None:
-        if bounds is None:
-            self.min_dy = self.max_dy = None
-            self.has_y_bounds = True
-        elif not self.has_y_bounds:
-            self.min_dy, self.max_dy = bounds
-            self.has_y_bounds = True
-        elif self.min_dy is not None:
-            self.min_dy = min(self.min_dy, bounds[0])
-            self.max_dy = max(self.max_dy, bounds[1])
-
-    @property
-    def window(self) -> Optional[Tuple[int, int]]:
-        """(width, height) of the symmetric window covering all constant
-        offsets, or None if offsets are not statically known."""
-        if None in (self.min_dx, self.max_dx, self.min_dy, self.max_dy):
-            return None
-        half_x = max(abs(self.min_dx), abs(self.max_dx))
-        half_y = max(abs(self.min_dy), abs(self.max_dy))
-        return (2 * half_x + 1, 2 * half_y + 1)
+def max_window(kernel: KernelIR, *extra: Tuple[int, int]
+               ) -> Tuple[int, int]:
+    """Largest accessor window, and of any *extra* (width, height) sizes
+    ("In case multiple Accessors are used within one kernel, the largest
+    window size specified is taken", Section IV-B)."""
+    sizes = [a.window for a in kernel.accessors] + list(extra)
+    return (max([1] + [w for w, _ in sizes]),
+            max([1] + [h for _, h in sizes]))
 
 
 def loop_trip(s: ForRange) -> Optional[Tuple[int, int, int]]:
@@ -112,25 +79,36 @@ def loop_trip(s: ForRange) -> Optional[Tuple[int, int, int]]:
     return n, min(start, last), max(start, last)
 
 
-def _loop_var_ranges(body: Sequence[Stmt],
-                     env: Dict[str, Tuple[int, int]],
-                     out: Dict[int, Dict[str, Tuple[int, int]]]) -> None:
-    """Record, for each AccessorRead node id, the enclosing loop-variable
-    value ranges (inclusive) so offsets like ``xf`` resolve to bounds."""
+#: (min_dx, max_dx, min_dy, max_dy) of one read's offsets, inclusive
+OffsetBounds = Tuple[int, int, int, int]
+
+
+def read_offset_bounds(body: Sequence[Stmt],
+                       env: Optional[Dict[str, Tuple[int, int]]] = None
+                       ) -> Iterator[Tuple[AccessorRead,
+                                           Optional[OffsetBounds]]]:
+    """Every accessor read in *body* with the bounds of its offsets under
+    the bounded-offset rule: constants and the value ranges of enclosing
+    constant-trip loop variables, combined by ``+``, ``-``, ``*`` and
+    negation.  None when the rule cannot bound dx or dy."""
+    env = {} if env is None else env
     for s in body:
         if isinstance(s, ForRange):
             inner = dict(env)
             trip = loop_trip(s)
             if trip is not None and trip[0] > 0:
                 inner[s.var] = trip[1:]
-            _loop_var_ranges(s.body, inner, out)
+            yield from read_offset_bounds(s.body, inner)
         elif isinstance(s, If):
-            _loop_var_ranges(s.then_body, env, out)
-            _loop_var_ranges(s.else_body, env, out)
+            yield from read_offset_bounds(s.then_body, env)
+            yield from read_offset_bounds(s.else_body, env)
         for e in stmt_exprs(s):
             for sub in walk_exprs(e):
                 if isinstance(sub, AccessorRead):
-                    out[id(sub)] = dict(env)
+                    bx = _offset_bounds(sub.dx, env)
+                    by = _offset_bounds(sub.dy, env)
+                    yield sub, (None if bx is None or by is None
+                                else bx + by)
 
 
 def _offset_bounds(e: Expr, ranges: Dict[str, Tuple[int, int]]
@@ -160,43 +138,6 @@ def _offset_bounds(e: Expr, ranges: Dict[str, Tuple[int, int]]
         candidates = [a * b for a in lb for b in rb]
         return (min(candidates), max(candidates))
     return None
-
-
-def analyze_accesses(kernel: KernelIR) -> Dict[str, AccessInfo]:
-    """Read/write analysis via CFG traversal (paper Section IV-A)."""
-    infos = {a.name: AccessInfo(a.name) for a in kernel.accessors}
-    ranges_by_read: Dict[int, Dict[str, Tuple[int, int]]] = {}
-    _loop_var_ranges(kernel.body, {}, ranges_by_read)
-
-    cfg = build_cfg(kernel.body)
-    for idx in cfg.reverse_postorder():
-        for s in cfg.blocks[idx].stmts:
-            for top in stmt_exprs(s):
-                for e in walk_exprs(top):
-                    if isinstance(e, AccessorRead):
-                        info = infos[e.accessor]
-                        info.is_read = True
-                        info.read_sites += 1
-                        ranges = ranges_by_read.get(id(e), {})
-                        info.merge_x_bounds(_offset_bounds(e.dx, ranges))
-                        info.merge_y_bounds(_offset_bounds(e.dy, ranges))
-    return infos
-
-
-def infer_window(kernel: KernelIR, accessor_name: str) -> Tuple[int, int]:
-    """Window size (width, height) for *accessor_name*.
-
-    Prefers explicit BoundaryCondition metadata (the paper requires the
-    window on the BoundaryCondition); falls back to constant-offset
-    inference; defaults to (1, 1) — a point operator.
-    """
-    acc = kernel.accessor(accessor_name)
-    if acc.window != (1, 1):
-        return acc.window
-    info = analyze_accesses(kernel).get(accessor_name)
-    if info is not None and info.window is not None:
-        return info.window
-    return (1, 1)
 
 
 # --------------------------------------------------------------------------

@@ -3,9 +3,9 @@
 The paper performs "a read/write analysis of the kernel method.  Therefore, a
 control-flow graph (CFG) of the instructions in the kernel method is created
 and traversed afterwards" (Section IV-A).  We reproduce that structure: basic
-blocks of straight-line statements connected by branch/loop edges, plus a
-traversal used by :mod:`repro.ir.analysis` to collect access information for
-each Image/Accessor object.
+blocks of straight-line statements connected by branch/loop edges, traversed
+by the abstract interpreter (:mod:`repro.lint.absint`) and the lint dataflow
+analyses (:mod:`repro.lint.dataflow`).
 """
 
 from __future__ import annotations

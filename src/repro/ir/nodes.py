@@ -300,8 +300,6 @@ class AccessorInfo:
     boundary_mode: str            # one of repro.dsl.boundary.Boundary values
     boundary_constant: float = 0.0
     window: Tuple[int, int] = (1, 1)   # (width, height) incl. centre
-    is_read: bool = False         # filled by read/write analysis
-    is_written: bool = False
     #: resampling accessors (HIPAcc interpolation modes): "nearest" or
     #: "linear"; None for plain 1:1 accessors
     interpolation: Optional[str] = None

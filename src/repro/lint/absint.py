@@ -52,7 +52,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..intrinsics import resolve
-from ..ir.analysis import _loop_var_ranges, _offset_bounds, loop_trip
+from ..ir.analysis import loop_trip, read_offset_bounds
 from ..ir.cfg import CFG, build_cfg
 from ..ir.nodes import (
     AccessorRead,
@@ -785,25 +785,22 @@ def _fmt(v: AbstractValue) -> str:
 def _check_window_reads(ir: KernelIR, result: AbsintResult
                         ) -> List[Diagnostic]:
     """HIP107/HIP401 — reads whose offset interval escapes the declared
-    window.  An escaping read whose offsets the access analysis bounds
-    (constants and constant-trip loop variables, :func:`_offset_bounds`)
-    is HIP107: one finding per accessor, over the hull of its bounded
-    reads.  Every other escaping read is HIP401, at its derived
-    interval."""
-    ranges_by_read: Dict[int, Dict[str, Tuple[int, int]]] = {}
-    _loop_var_ranges(ir.body, {}, ranges_by_read)
+    window.  An escaping read whose offsets the bounded-offset rule
+    bounds (constants and constant-trip loop variables,
+    :func:`~repro.ir.analysis.read_offset_bounds`) is HIP107: one
+    finding per accessor, over the hull of its bounded reads.  Every
+    other escaping read is HIP401, at its derived interval."""
+    bounds = {id(read): b for read, b in read_offset_bounds(ir.body)}
     hulls: Dict[str, Tuple[int, int, int, int]] = {}
     hip107 = set()
     hip401: List[Diagnostic] = []
     seen = set()
     for r in result.reads:
-        ranges = ranges_by_read.get(id(r.expr), {})
-        bx = _offset_bounds(r.expr.dx, ranges)
-        by = _offset_bounds(r.expr.dy, ranges)
-        if bx is not None and by is not None:
-            h = hulls.get(r.accessor, bx + by)
-            hulls[r.accessor] = (min(h[0], bx[0]), max(h[1], bx[1]),
-                                 min(h[2], by[0]), max(h[3], by[1]))
+        b = bounds.get(id(r.expr))
+        if b is not None:
+            h = hulls.get(r.accessor, b)
+            hulls[r.accessor] = (min(h[0], b[0]), max(h[1], b[1]),
+                                 min(h[2], b[2]), max(h[3], b[3]))
             if r.in_window is False:
                 hip107.add(r.accessor)
             continue

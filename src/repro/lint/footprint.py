@@ -171,8 +171,6 @@ def footprint_from_result(ir: KernelIR, result: AbsintResult
 
     accessors = []
     for acc in ir.accessors:
-        # acc.is_read is only filled in by backend emission, so the read
-        # facts themselves decide which accessors carry a footprint
         if acc.interpolation is not None:
             # interpolated sampling reads data-dependent coordinates:
             # never a provable footprint

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List, Optional, Sequence, Tuple
 
 from ..hwmodel.resources import BANK_CONFLICT_PAD, smem_tile_geometry
-from ..ir.analysis import analyze_accesses
+from ..ir.analysis import read_offset_bounds
 from ..ir.nodes import (
     AccessorRead,
     If,
@@ -121,18 +121,14 @@ def check_bank_conflicts(ir: KernelIR,
 
 
 def check_unbounded_offsets(ir: KernelIR) -> List[Diagnostic]:
-    """HIP204: accessor offsets the analysis cannot bound.  The compiler
-    then cannot size a staging tile or prove border safety, so the read
-    takes the slowest (global, border-checked) path."""
+    """HIP204: accessor offsets the bounded-offset rule cannot bound.  The
+    compiler then cannot size a staging tile or prove border safety, so
+    the read takes the slowest (global, border-checked) path."""
     out: List[Diagnostic] = []
-    infos = analyze_accesses(ir)
+    unbounded = {read.accessor for read, b in read_offset_bounds(ir.body)
+                 if b is None}
     for acc in ir.accessors:
-        if acc.interpolation is not None:
-            continue
-        info = infos.get(acc.name)
-        if info is None or not info.is_read:
-            continue
-        if None not in (info.min_dx, info.max_dx, info.min_dy, info.max_dy):
+        if acc.interpolation is not None or acc.name not in unbounded:
             continue
         out.append(_diag(
             ir, "HIP204",

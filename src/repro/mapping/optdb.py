@@ -17,11 +17,11 @@ Two tables live here:
   per-kernel *winners*: the block configuration the auto-tuner
   (:mod:`repro.mapping.tuner`) measured as fastest, keyed by
   ``(kernel_fingerprint, device, backend, engine)``.  The fingerprint is
-  the PR-1 canonical-IR digest (:func:`repro.cache.key.ir_digest` over
-  the pristine IR), so two textually different kernels that lower to the
-  same IR share one entry and a changed kernel can never pick up a stale
-  winner.  Entries persist in an atomic, versioned on-disk JSON store:
-  a torn write is impossible (temp file + ``os.replace``), a corrupt or
+  the canonical-IR digest (:func:`repro.cache.key.ir_digest`), so two
+  textually different kernels that lower to the same IR share one entry
+  and a changed kernel can never pick up a stale winner.  Entries
+  persist in an atomic, versioned on-disk JSON store: a torn write is
+  impossible (temp file + ``os.replace``), a corrupt or
   stale-format store degrades to an empty database (a tuning *miss*,
   never an error) and is healed by the next save.
 """
@@ -127,8 +127,8 @@ TUNED_ENGINES = ("sim", "native")
 class TunedEntry:
     """One measured winner for ``(fingerprint, device, backend, engine)``.
 
-    *fingerprint* is the pristine canonical-IR digest
-    (:func:`repro.cache.key.pristine_ir_digest`); *signal* names the
+    *fingerprint* is the canonical-IR digest
+    (:func:`repro.cache.key.ir_digest`); *signal* names the
     measurement that scored the winner (``"model"``, ``"sim"`` wall
     clock, or ``"native"`` wall clock); *score_ms* is the winning score
     in that signal's units; *trials* how many configurations were

@@ -40,14 +40,14 @@ traced (``tune.search`` / ``tune.trial`` spans) and counted (the
 from __future__ import annotations
 
 import dataclasses
-import threading
 import time
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from ..errors import LaunchError, MappingError
 from ..hwmodel.device import DeviceSpec
 from ..hwmodel.occupancy import compute_occupancy
-from ..obs import get_registry, span
+from ..obs import CounterGroup, get_registry, span
+from ..obs.schema import TUNER_COUNTERS
 from .explore import ExplorationTask, evaluate_block, run_exploration_task
 from .heuristic import candidate_configurations
 from .optdb import (
@@ -62,62 +62,7 @@ SIGNALS = ("model", "sim", "native")
 Block = Tuple[int, int]
 
 
-class TunerStats:
-    """Process-wide tuner counters (the ``tuner.*`` metrics source).
-
-    ``lookups``/``hits``/``misses`` count tuned-database consultations
-    by the compile driver; ``trials`` counts configurations actually
-    measured, ``pruned`` candidates skipped on the occupancy model's
-    word, ``sessions`` completed :func:`tune_kernel` runs and
-    ``records`` winners written to a database.  All counters are
-    monotonic for the life of the process; tests snapshot-and-diff.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self.lookups = 0
-        self.hits = 0
-        self.misses = 0
-        self.trials = 0
-        self.pruned = 0
-        self.sessions = 0
-        self.records = 0
-
-    def note_lookup(self, hit: bool) -> None:
-        with self._lock:
-            self.lookups += 1
-            if hit:
-                self.hits += 1
-            else:
-                self.misses += 1
-
-    def note_search(self, trials: int, pruned: int,
-                    recorded: bool) -> None:
-        with self._lock:
-            self.sessions += 1
-            self.trials += int(trials)
-            self.pruned += int(pruned)
-            if recorded:
-                self.records += 1
-
-    def snapshot(self) -> Dict[str, int]:
-        with self._lock:
-            return {
-                "lookups": self.lookups,
-                "hits": self.hits,
-                "misses": self.misses,
-                "trials": self.trials,
-                "pruned": self.pruned,
-                "sessions": self.sessions,
-                "records": self.records,
-            }
-
-    def metrics(self) -> Dict[str, float]:
-        return {f"tuner.{k}": float(v)
-                for k, v in self.snapshot().items()}
-
-
-TUNER_STATS = TunerStats()
+TUNER_STATS = CounterGroup("tuner", TUNER_COUNTERS)
 get_registry().register_source("tuner", TUNER_STATS.metrics)
 
 
@@ -262,7 +207,7 @@ def tune_kernel(kernel,
     process-wide store), ``False`` skips recording entirely, as does
     ``persist=False`` (which still returns the would-be entry).
     """
-    from ..cache.key import pristine_ir_digest
+    from ..cache.key import ir_digest
     from ..mapping.optdb import TUNED_ENGINES
     from ..runtime.compile import compile_kernel
 
@@ -286,7 +231,7 @@ def tune_kernel(kernel,
         base = compile_kernel(kernel, backend=backend, device=device,
                               cache=cache, tuned=False, **compile_options)
         dev = base.device
-        fingerprint = pristine_ir_digest(base.ir)
+        fingerprint = ir_digest(base.ir)
         heuristic_block = (int(base.options.block[0]),
                            int(base.options.block[1]))
         regs = base.resources.registers_per_thread
@@ -377,14 +322,14 @@ def tune_kernel(kernel,
         # ---- record the winner ------------------------------------------
         entry = fresh_entry(fingerprint, dev.name, backend, engine,
                             best_block, best_ms, signal_used, trials)
-        recorded = False
         if db is not False and persist:
             target = db if isinstance(db, TunedDatabase) \
                 else default_tuned_database()
             target.record(entry)
-            recorded = True
-        TUNER_STATS.note_search(trials=trials, pruned=pruned,
-                                recorded=recorded)
+            TUNER_STATS.bump("records")
+        TUNER_STATS.bump("sessions")
+        TUNER_STATS.bump("trials", trials)
+        TUNER_STATS.bump("pruned", pruned)
         search_span.attrs["trials"] = trials
         search_span.attrs["best"] = f"{best_block[0]}x{best_block[1]}"
 

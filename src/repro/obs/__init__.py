@@ -48,6 +48,7 @@ from .log import (                                 # noqa: F401
     new_request_id,
 )
 from .metrics import (                             # noqa: F401
+    CounterGroup,
     MetricsRegistry,
     get_registry,
     set_registry,

@@ -27,6 +27,8 @@ prefix                 meaning
                        queue_depth, shed, completed, errors, timeouts,
                        cancelled, executions, drained, prepared_hits,
                        prepared_misses, prepared_evictions)
+``tuner.*``            auto-tuner (lookups, hits, misses, trials, pruned,
+                       sessions, records)
 ``native.*``           native JIT tier (compiles, artifact hits)
 ``*.hist.*``           flattened latency histograms
                        (:mod:`repro.obs.hist`): each histogram
@@ -42,9 +44,30 @@ Counter *values* are plain ints/floats; rates are in ``[0, 1]``.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, Optional, Sequence
 
 MetricSource = Callable[[], Dict[str, Any]]
+
+
+class CounterGroup:
+    """Thread-safe monotonic counters over names declared once in
+    :mod:`repro.obs.schema`, rendered as ``<prefix>.<name>`` metrics."""
+
+    def __init__(self, prefix: str, names: Sequence[str]) -> None:
+        self.prefix = prefix
+        self._lock = threading.Lock()
+        self._values = dict.fromkeys(names, 0)
+
+    def bump(self, name: str, by: int = 1) -> None:
+        with self._lock:
+            self._values[name] += by
+
+    def snapshot(self) -> Dict[str, int]:
+        with self._lock:
+            return dict(self._values)
+
+    def metrics(self) -> Dict[str, int]:
+        return {f"{self.prefix}.{k}": v for k, v in self.snapshot().items()}
 
 
 class MetricsRegistry:

@@ -61,7 +61,7 @@ NATIVE_SPANS = ("native.compile", "native.exec")
 #: ``fingerprint`` attr instead.
 SERVE_SPANS = ("serve.request", "serve.plan", "serve.exec")
 
-#: The ``serve.*`` counters (:class:`~repro.serve.service.ServeStats`).
+#: The ``serve.*`` counters (a :class:`~repro.obs.metrics.CounterGroup`).
 #: ``prepared_hits``/``prepared_misses`` count executions that reused an
 #: idle prepared graph or had to prepare one; ``prepared_evictions``
 #: counts idle instances dropped by the LRU bound.
@@ -69,6 +69,15 @@ SERVE_COUNTERS = ("requests", "batched", "dedup_hits", "shed",
                   "completed", "errors", "timeouts", "cancelled",
                   "executions", "drained", "prepared_hits",
                   "prepared_misses", "prepared_evictions")
+
+#: The ``tuner.*`` counters (``repro.mapping.tuner.TUNER_STATS``):
+#: ``lookups``/``hits``/``misses`` count tuned-database consultations by
+#: the compile driver; ``trials`` counts configurations actually
+#: measured, ``pruned`` candidates skipped on the occupancy model's
+#: word, ``sessions`` completed ``tune_kernel`` runs and ``records``
+#: winners written to a database.
+TUNER_COUNTERS = ("lookups", "hits", "misses", "trials", "pruned",
+                  "sessions", "records")
 
 #: The serve tier's histograms, registered when a service starts: end to
 #: end and queueing, then one per execution step of a request group —

@@ -37,7 +37,6 @@ from ..cache.key import (
     compute_key,
     ir_digest,
     kernel_fingerprint,
-    pristine_ir_digest,
 )
 from ..cache.serialize import entry_from_dict, entry_to_dict
 from ..cache.store import CompilationCache, get_default_cache
@@ -49,6 +48,7 @@ from ..hwmodel.database import get_device
 from ..hwmodel.device import DeviceSpec
 from ..hwmodel.occupancy import compute_occupancy
 from ..hwmodel.resources import estimate_resources, smem_tile_bytes
+from ..ir.analysis import max_window
 from ..ir.typecheck import typecheck_kernel
 from ..mapping.heuristic import select_configuration
 from ..mapping.optdb import TunedDatabase, default_database
@@ -129,17 +129,6 @@ def _resolve_cache(cache: Union[None, bool, CompilationCache]
     if cache is True:
         return get_default_cache()
     return cache
-
-
-def _max_window(ir) -> Tuple[int, int]:
-    wx = wy = 1
-    for acc in ir.accessors:
-        wx = max(wx, acc.window[0])
-        wy = max(wy, acc.window[1])
-    for mask in ir.masks:
-        wx = max(wx, mask.size[0])
-        wy = max(wy, mask.size[1])
-    return (wx, wy)
 
 
 def compile_kernel(kernel: Kernel,
@@ -276,13 +265,7 @@ def compile_ir(ir,
     store = _resolve_cache(cache)
     with span("compile", kernel=ir.name, backend=backend,
               device=dev.name) as root:
-        ir_dig = None
-        if store is not None:
-            # digest the pre-analysis form: codegen fills AccessorInfo
-            # is_read/is_written in place, and compile_kernel hashes before
-            # that happens — normalising keeps the two paths' keys identical
-            # and makes repeated compile_ir calls on one IR object stable
-            ir_dig = pristine_ir_digest(ir)
+        ir_dig = ir_digest(ir) if store is not None else None
         return _compile_from_ir(
             ir, dict(accessors), iteration_space,
             dev=dev, backend=backend, block=block, border=border,
@@ -313,7 +296,8 @@ def _compile_from_ir(ir, accessor_objs, iteration_space, *,
     :class:`CompiledKernel` so the cache-hit and fresh paths can never
     emit different key sets again.
     """
-    window = _max_window(ir)
+    # Algorithm 2 and CompiledKernel.window also cover the mask extents
+    window = max_window(ir, *(m.size for m in ir.masks))
     geometry = (iteration_space.width, iteration_space.height)
 
     # optimization database decisions (Section V-B)
@@ -354,14 +338,15 @@ def _compile_from_ir(ir, accessor_objs, iteration_space, *,
             tdb = default_tuned_database()
         if len(tdb):
             from ..mapping.tuner import TUNER_STATS
-            fp = ir_dig if ir_dig is not None else pristine_ir_digest(ir)
+            fp = ir_dig if ir_dig is not None else ir_digest(ir)
             with span("tune.lookup", kernel=ir.name,
                       engine=tuned_engine) as sp:
                 t_entry = tdb.lookup(fp, dev.name, backend, tuned_engine)
                 hit = (t_entry is not None
                        and dev.valid_block(*t_entry.block))
                 sp.attrs["hit"] = hit
-            TUNER_STATS.note_lookup(hit)
+            TUNER_STATS.bump("lookups")
+            TUNER_STATS.bump("hits" if hit else "misses")
             if hit:
                 tuned_block = (int(t_entry.block[0]),
                                int(t_entry.block[1]))

@@ -469,11 +469,6 @@ def graph_fingerprint(plan: NativeGraphPlan, cc: str) -> str:
     for lw in plan.lowerings:
         if not lw.native:
             continue
-        pristine = dataclasses.replace(
-            lw.ir,
-            accessors=[dataclasses.replace(a, is_read=False,
-                                           is_written=False)
-                       for a in lw.ir.accessors])
         space = lw.node.iteration_space
         images = [[plan.slots[id(img)], img.width, img.height,
                    img.pixel_type.name]
@@ -483,7 +478,7 @@ def graph_fingerprint(plan: NativeGraphPlan, cc: str) -> str:
         params = [[p.name, repr(float(p.value) if p.type.is_float
                                 else int(p.value))]
                   for p in lw.ir.params if not p.baked]
-        nodes.append([lw.index, canonical_ir(pristine),
+        nodes.append([lw.index, canonical_ir(lw.ir),
                       [space.width, space.height,
                        space.offset_x, space.offset_y],
                       images, params])

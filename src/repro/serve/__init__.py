@@ -40,4 +40,4 @@ from .protocol import (                          # noqa: F401
     request_fingerprint,
 )
 from .server import create_server, run_server    # noqa: F401
-from .service import ServeConfig, ServeService, ServeStats  # noqa: F401
+from .service import ServeConfig, ServeService  # noqa: F401

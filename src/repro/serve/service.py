@@ -59,7 +59,7 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 from ..cache import CompilationCache
 from ..graph.pool import BufferPool
 from ..graph.scheduler import PreparedGraph, prepare_graph
-from ..obs import get_registry, span
+from ..obs import CounterGroup, get_registry, span
 from ..obs.hist import get_histograms, observe
 from ..obs.log import log_event, new_request_id
 from ..obs.schema import SERVE_COUNTERS, SERVE_HISTOGRAMS
@@ -124,26 +124,6 @@ class ServeConfig:
     engine: str = "auto"
     #: Retry-After seconds advertised on 429/503
     retry_after_s: float = 1.0
-
-
-class ServeStats:
-    """Thread-safe counters for the ``serve.*`` metrics namespace."""
-
-    _FIELDS = SERVE_COUNTERS
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        for field in self._FIELDS:
-            setattr(self, field, 0)
-
-    def bump(self, field: str, by: int = 1) -> None:
-        with self._lock:
-            setattr(self, field, getattr(self, field) + by)
-
-    def as_dict(self) -> Dict[str, int]:
-        with self._lock:
-            return {field: getattr(self, field)
-                    for field in self._FIELDS}
 
 
 class _PreparedCache:
@@ -238,7 +218,7 @@ class ServeService:
             from ..cache import get_default_cache
             cache = get_default_cache()
         self.cache = cache
-        self.stats = ServeStats()
+        self.stats = CounterGroup("serve", SERVE_COUNTERS)
         self._lock = threading.Lock()
         # two conditions on the one lock: workers wait on _work_wake
         # (queued groups), drain() waits on _idle (running groups)
@@ -357,11 +337,9 @@ class ServeService:
 
     def metrics(self) -> Dict[str, float]:
         """The canonical ``serve.*`` metrics namespace."""
-        counters = self.stats.as_dict()
+        out = self.stats.metrics()
         with self._lock:
-            depth = self._waiting()
-        out = {f"serve.{k}": v for k, v in counters.items()}
-        out["serve.queue_depth"] = depth
+            out["serve.queue_depth"] = self._waiting()
         return out
 
     def _pool_metrics(self) -> Dict[str, float]:

@@ -22,6 +22,7 @@ from ..dsl.iteration_space import IterationSpace
 from ..errors import LaunchError, MappingError
 from ..hwmodel.device import DeviceSpec
 from ..hwmodel.occupancy import Occupancy, compute_occupancy
+from ..ir.analysis import max_window
 from ..ir.nodes import KernelIR
 from .executor import evaluate_body
 
@@ -37,14 +38,6 @@ class LaunchResult:
     regions_executed: int
     pixels_written: int
     estimated_ms: Optional[float] = None
-
-
-def _max_window(kernel: KernelIR) -> tuple:
-    wx = wy = 1
-    for acc in kernel.accessors:
-        wx = max(wx, acc.window[0])
-        wy = max(wy, acc.window[1])
-    return (wx, wy)
 
 
 def padding_alignment(device: DeviceSpec) -> int:
@@ -105,7 +98,7 @@ def simulate_launch(kernel: KernelIR,
         acc.image.apply_padding(alignment)
     iteration_space.image.apply_padding(alignment)
 
-    window = _max_window(kernel)
+    window = max_window(kernel)
     is_ = iteration_space
     layout = classify_regions(is_.width, is_.height, options.block, window)
 

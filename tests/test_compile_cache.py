@@ -24,10 +24,15 @@ import sys
 import pytest
 
 from repro import CompilationCache, compile_kernel
+from repro.backends.base import CodegenOptions, generate
+from repro.cache import ir_digest
 from repro.dsl.boundary import Boundary
 from repro.filters.gaussian import make_gaussian
 from repro.filters.laplacian import make_laplacian
 from repro.filters.sobel import make_sobel
+from repro.frontend import parse_kernel
+from repro.ir import typecheck_kernel
+from repro.lint.builtin import BUILTIN_FACTORIES
 
 from .helpers import AddScalar, AddUniform, CopyKernel, accessor_for, \
     build_convolution, build_image_pair, random_image
@@ -219,6 +224,24 @@ class TestCrossProcessStability:
                                     device="Tesla C2050",
                                     cache=CompilationCache()).cache_key
         assert keys[0] == keys[1] == in_process
+
+
+class TestIrDigest:
+    @pytest.mark.parametrize("backend", ["cuda", "opencl"])
+    def test_codegen_leaves_the_ir_digest_unchanged(self, backend):
+        ir = typecheck_kernel(parse_kernel(build_convolution()))
+        before = ir_digest(ir)
+        source = generate(ir, CodegenOptions(backend=backend,
+                                             use_texture=True), (32, 32))
+        assert source.texture_refs == ("_texinp",)
+        assert ir_digest(ir) == before
+
+    def test_builtin_gaussian_digest_is_pinned(self):
+        # persisted tuned-database keys and native fingerprints hash this
+        # form, so it must not move
+        ir = typecheck_kernel(parse_kernel(BUILTIN_FACTORIES["gaussian"]()[0]))
+        assert ir_digest(ir) == ("5212817bb9b174faa800388fb056df2d"
+                                 "42bc27934a00423ae4e95cf3d8b64b69")
 
 
 class TestDiskStore:

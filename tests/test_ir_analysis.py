@@ -1,15 +1,9 @@
-"""Access analysis, window inference and instruction-mix estimation."""
+"""Instruction-mix estimation."""
 
 import pytest
 
-from repro import Boundary
 from repro.frontend import parse_kernel
-from repro.ir import (
-    analyze_accesses,
-    count_instruction_mix,
-    infer_window,
-    typecheck_kernel,
-)
+from repro.ir import count_instruction_mix, typecheck_kernel
 from repro.ir import nodes as N
 from repro.types import FLOAT
 
@@ -17,66 +11,16 @@ from .helpers import (
     CopyKernel,
     IterationSpace,
     MaskConvolution,
-    ShiftRead,
-    TwoInputKernel,
     accessor_for,
     box_mask,
     build_image_pair,
 )
 
 
-def _ir(kernel_cls, *args, window=1, mode=Boundary.CLAMP, two_inputs=False,
-        **kwargs):
+def _ir(kernel_cls, *args, window=1):
     src, dst = build_image_pair()
-    if two_inputs:
-        src2, _ = build_image_pair()
-        k = kernel_cls(IterationSpace(dst), accessor_for(src, window, mode),
-                       accessor_for(src2, window, mode), *args, **kwargs)
-    else:
-        k = kernel_cls(IterationSpace(dst),
-                       accessor_for(src, window, mode), *args, **kwargs)
+    k = kernel_cls(IterationSpace(dst), accessor_for(src, window), *args)
     return typecheck_kernel(parse_kernel(k))
-
-
-class TestAccessAnalysis:
-    def test_point_operator(self):
-        info = analyze_accesses(_ir(CopyKernel))["inp"]
-        assert info.is_read
-        assert info.window == (1, 1)
-        assert info.read_sites == 1
-
-    def test_fixed_offset(self):
-        info = analyze_accesses(_ir(ShiftRead, 2, -1))["inp"]
-        assert (info.min_dx, info.max_dx) == (2, 2)
-        assert (info.min_dy, info.max_dy) == (-1, -1)
-        assert info.window == (5, 3)    # symmetric cover of (2, -1)
-
-    def test_loop_offsets_resolved_from_bounds(self):
-        info = analyze_accesses(
-            _ir(MaskConvolution, box_mask(5), 2, 2, window=5))["inp"]
-        assert (info.min_dx, info.max_dx) == (-2, 2)
-        assert (info.min_dy, info.max_dy) == (-2, 2)
-        assert info.window == (5, 5)
-
-    def test_asymmetric_loops(self):
-        info = analyze_accesses(
-            _ir(MaskConvolution, box_mask(3), 1, 3, window=7))["inp"]
-        assert info.window == (3, 7)
-
-    def test_two_accessors_tracked_separately(self):
-        ir = _ir(TwoInputKernel, two_inputs=True)
-        infos = analyze_accesses(ir)
-        assert set(infos) == {"a", "b"}
-        assert all(i.is_read for i in infos.values())
-
-    def test_infer_window_prefers_metadata(self):
-        ir = _ir(MaskConvolution, box_mask(3), 1, 1, window=9)
-        # BoundaryCondition declared 9x9 even though reads cover 3x3
-        assert infer_window(ir, "inp") == (9, 9)
-
-    def test_infer_window_falls_back_to_offsets(self):
-        ir = _ir(ShiftRead, 1, 0)    # no boundary condition => (1,1) decl
-        assert infer_window(ir, "inp") == (3, 1)
 
 
 class TestInstructionMix:

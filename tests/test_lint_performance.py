@@ -15,9 +15,22 @@ from repro import (
     Kernel,
 )
 from repro.errors import LintError
+from repro.frontend import parse_kernel
+from repro.ir import typecheck_kernel
+from repro.ir.analysis import read_offset_bounds
 from repro.lint import Severity, collecting, lint_kernel
-from repro.lint.performance import check_bank_conflicts
+from repro.lint.performance import (
+    check_bank_conflicts,
+    check_unbounded_offsets,
+)
 from repro.runtime.compile import compile_kernel
+
+from .helpers import (
+    MaskConvolution,
+    ShiftRead,
+    TwoInputKernel,
+    box_mask,
+)
 
 W, H = 16, 12
 
@@ -35,6 +48,22 @@ def _acc(wx=1, wy=1, boundary=None):
 
 def codes(diags):
     return sorted(d.code for d in diags)
+
+
+def _ir(kernel):
+    return typecheck_kernel(parse_kernel(kernel))
+
+
+def _hulls(ir):
+    """Per accessor, the hull of its reads' offset bounds; every read
+    must be bounded."""
+    hulls = {}
+    for read, b in read_offset_bounds(ir.body):
+        assert b is not None
+        h = hulls.get(read.accessor, b)
+        hulls[read.accessor] = (min(h[0], b[0]), max(h[1], b[1]),
+                                min(h[2], b[2]), max(h[3], b[3]))
+    return hulls
 
 
 # -- kernels ----------------------------------------------------------------
@@ -108,6 +137,25 @@ class DataDependentOffset(Kernel):
     def kernel(self):
         d = int(self.inp(0, 0))
         self.output(self.inp(d, 0))
+
+
+class MixedOffsets(Kernel):
+    """Bounded and unbounded reads of ``inp``; only bounded ones of
+    ``other``."""
+
+    def __init__(self):
+        super().__init__(_space())
+        self.inp = _acc(5, 5, Boundary.CLAMP)
+        self.other = _acc(3, 3, Boundary.CLAMP)
+        self.add_accessor(self.inp)
+        self.add_accessor(self.other)
+
+    def kernel(self):
+        d = int(self.other(1, -1))
+        s = self.inp(0, 0) + self.inp(d, 0) + self.inp(1, 1)
+        for i in range(-1, 2):
+            s += self.inp(0, d + i) + self.other(i, 0)
+        self.output(s)
 
 
 class CleanPoint(Kernel):
@@ -187,6 +235,38 @@ class TestHip204:
 
     def test_constant_offsets_are_clean(self):
         assert "HIP204" not in codes(lint_kernel(Stencil3()))
+
+    def test_fixed_offset(self):
+        ir = _ir(ShiftRead(_space(), _acc(), 2, -1))
+        assert _hulls(ir) == {"inp": (2, 2, -1, -1)}
+        assert check_unbounded_offsets(ir) == []
+
+    def test_loop_offsets_resolved_from_range_bounds(self):
+        ir = _ir(MaskConvolution(_space(), _acc(5, 5, Boundary.CLAMP),
+                                 box_mask(5), 2, 2))
+        assert _hulls(ir) == {"inp": (-2, 2, -2, 2)}
+        assert check_unbounded_offsets(ir) == []
+
+    def test_asymmetric_loops(self):
+        ir = _ir(MaskConvolution(_space(), _acc(7, 7, Boundary.CLAMP),
+                                 box_mask(3), 1, 3))
+        assert _hulls(ir) == {"inp": (-1, 1, -3, 3)}
+        assert check_unbounded_offsets(ir) == []
+
+    def test_two_accessors_tracked_separately(self):
+        ir = _ir(TwoInputKernel(_space(), _acc(), _acc()))
+        assert _hulls(ir) == {"a": (0, 0, 0, 0), "b": (0, 0, 0, 0)}
+        assert check_unbounded_offsets(ir) == []
+
+    def test_mixed_reads_of_one_accessor_give_one_finding(self):
+        ir = _ir(MixedOffsets())
+        bounded = {}
+        for read, b in read_offset_bounds(ir.body):
+            bounded.setdefault(read.accessor, set()).add(b is not None)
+        assert bounded == {"inp": {True, False}, "other": {True}}
+        diags = check_unbounded_offsets(ir)
+        assert [d.code for d in diags] == ["HIP204"]
+        assert "'inp'" in diags[0].message
 
 
 # -- compile-time verify wiring --------------------------------------------

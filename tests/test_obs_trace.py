@@ -14,6 +14,7 @@ Three families of guarantees:
 """
 
 import json
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -21,6 +22,7 @@ import pytest
 
 from repro import CompilationCache, compile_kernel
 from repro.obs import (
+    CounterGroup,
     MetricsRegistry,
     STAGE_KEYS,
     TIMING_KEYS,
@@ -280,6 +282,35 @@ class TestMetricsRegistry:
         reg.register_source("s", lambda: {"k": 1})
         reg.unregister_source("s")
         assert reg.snapshot() == {"counters": {"events": 3}}
+
+
+class TestCounterGroup:
+    def test_declared_names_render_under_the_prefix(self):
+        group = CounterGroup("tuner", ("hits", "misses"))
+        group.bump("hits")
+        group.bump("misses", 3)
+        assert group.snapshot() == {"hits": 1, "misses": 3}
+        assert group.metrics() == {"tuner.hits": 1, "tuner.misses": 3}
+        with pytest.raises(KeyError):
+            group.bump("undeclared")
+
+    def test_concurrent_bumps_are_not_lost(self):
+        group = CounterGroup("serve", ("requests",))
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(
+                target=lambda: [group.bump("requests")
+                                for _ in range(2000)])
+                for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(old)
+        assert group.snapshot() == {"requests": 16000}
 
 
 # --------------------------------------------------------------------------

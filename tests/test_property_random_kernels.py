@@ -135,8 +135,7 @@ def random_kernel(draw):
         body=body,
         accessors=[N.AccessorInfo("inp", FLOAT, mode.value,
                                   boundary_constant=0.25,
-                                  window=(MASK_SIZE, MASK_SIZE),
-                                  is_read=True)],
+                                  window=(MASK_SIZE, MASK_SIZE))],
         masks=[N.MaskInfo("m", FLOAT, (MASK_SIZE, MASK_SIZE),
                           coefficients=np.linspace(
                               -1, 1, MASK_SIZE * MASK_SIZE,

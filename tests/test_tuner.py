@@ -23,7 +23,7 @@ import threading
 import pytest
 
 from repro import compile_kernel, get_device
-from repro.cache.key import pristine_ir_digest
+from repro.cache.key import ir_digest
 from repro.errors import LaunchError
 from repro.mapping.optdb import (
     TUNED_FORMAT_VERSION,
@@ -410,7 +410,7 @@ class TestCompileConsultsTunedDatabase:
     def test_fingerprint_stable_across_compiles(self):
         c1 = compile_kernel(build_convolution(size=48), tuned=False)
         c2 = compile_kernel(build_convolution(size=48), tuned=False)
-        assert pristine_ir_digest(c1.ir) == pristine_ir_digest(c2.ir)
+        assert ir_digest(c1.ir) == ir_digest(c2.ir)
 
 
 # --------------------------------------------------------------------------
