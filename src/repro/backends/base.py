@@ -88,6 +88,13 @@ class CodegenOptions:
     #: vloadN, border regions scalarise the adjusted reads per lane.
     vectorize: int = 1
 
+    def __post_init__(self) -> None:
+        # callers and the cache spell these as plain JSON values
+        # ("inline", [32, 4]); hold one form
+        self.border = BorderMode(self.border)
+        self.mask_memory = MaskMemory(self.mask_memory)
+        self.block = tuple(self.block)
+
     def validate(self) -> None:
         if self.backend not in ("cuda", "opencl", "cpu"):
             raise CodegenError(f"unknown backend {self.backend!r}")

@@ -12,9 +12,11 @@ on-disk store needs no pickle and stays inspectable with a text editor.
 
 from __future__ import annotations
 
+import dataclasses
+import enum
 from typing import Any, Dict
 
-from ..backends.base import BorderMode, CodegenOptions, KernelSource, MaskMemory
+from ..backends.base import CodegenOptions, KernelSource
 from ..hwmodel.resources import ResourceUsage
 from ..ir.analysis import InstructionMix
 
@@ -23,37 +25,22 @@ ENTRY_FORMAT = 1
 
 
 def options_to_dict(options: CodegenOptions) -> Dict[str, Any]:
-    return {
-        "backend": options.backend,
-        "use_texture": options.use_texture,
-        "border": options.border.value,
-        "use_smem": options.use_smem,
-        "mask_memory": options.mask_memory.value,
-        "block": list(options.block),
-        "unroll": options.unroll,
-        "fold_constants": options.fold_constants,
-        "fast_math": options.fast_math,
-        "emit_config_macros": options.emit_config_macros,
-        "pixels_per_thread": options.pixels_per_thread,
-        "vectorize": options.vectorize,
-    }
+    """Every :class:`CodegenOptions` field, in declaration order."""
+    data = {}
+    for f in dataclasses.fields(CodegenOptions):
+        value = getattr(options, f.name)
+        if isinstance(value, enum.Enum):
+            value = value.value
+        elif isinstance(value, tuple):
+            value = list(value)
+        data[f.name] = value
+    return data
 
 
 def options_from_dict(data: Dict[str, Any]) -> CodegenOptions:
-    return CodegenOptions(
-        backend=data["backend"],
-        use_texture=data["use_texture"],
-        border=BorderMode(data["border"]),
-        use_smem=data["use_smem"],
-        mask_memory=MaskMemory(data["mask_memory"]),
-        block=tuple(data["block"]),
-        unroll=data["unroll"],
-        fold_constants=data["fold_constants"],
-        fast_math=data["fast_math"],
-        emit_config_macros=data["emit_config_macros"],
-        pixels_per_thread=data["pixels_per_thread"],
-        vectorize=data["vectorize"],
-    )
+    # a missing field is a KeyError: the entry is undecodable, not partial
+    return CodegenOptions(**{f.name: data[f.name]
+                             for f in dataclasses.fields(CodegenOptions)})
 
 
 def source_to_dict(source: KernelSource) -> Dict[str, Any]:

@@ -3,7 +3,7 @@
 Two contracts live here so every producer and consumer shares one
 definition:
 
-* **Stage timings** — ``CompiledKernel.timings`` carries one key per
+* **Stage timings** — ``CompiledKernel.stage_timings`` carries one key per
   pipeline stage (:data:`STAGE_KEYS`) plus ``total_ms``, on **every**
   compile.  Stages a path skipped (codegen on a cache hit, cache lookup
   without a cache) are present as ``0.0``.  Historically the cache-hit
@@ -38,7 +38,7 @@ STAGE_SPANS: Dict[str, str] = {
 
 STAGE_KEYS = tuple(STAGE_SPANS)
 
-#: The complete key set of ``CompiledKernel.timings``.
+#: The complete key set of ``CompiledKernel.stage_timings``.
 TIMING_KEYS = STAGE_KEYS + ("total_ms",)
 
 #: Span names the native graph tier emits

@@ -231,7 +231,7 @@ def span(name: str, **attrs: Any) -> Iterator[Span]:
 
     Always yields a :class:`Span` whose ``duration_ms`` is valid after
     the block — disabled tracing only skips collection, never timing,
-    because ``CompiledKernel.timings`` is a view over these spans.
+    because ``CompiledKernel.stage_timings`` is a view over these spans.
     """
     tracer = _active
     if tracer is None:

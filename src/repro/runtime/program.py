@@ -62,11 +62,6 @@ class CompiledKernel:
     diagnostics: list = dataclasses.field(default_factory=list)
 
     @property
-    def timings(self) -> Dict[str, float]:
-        """Alias for :attr:`stage_timings` (the documented schema name)."""
-        return self.stage_timings
-
-    @property
     def compile_ms(self) -> float:
         """Total wall-clock time this compile took."""
         return self.stage_timings.get("total_ms", 0.0)

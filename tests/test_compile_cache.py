@@ -16,6 +16,7 @@ pipeline run:
   corrupt entries.
 """
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -186,16 +187,49 @@ class TestKeySensitivity:
                          device="Quadro FX 5800") != base
         assert self._key(build_convolution(), backend="opencl") != base
 
-    def test_options_change_key(self):
-        base = self._key(build_convolution())
-        assert self._key(build_convolution(), block=(32, 4)) != base
-        assert self._key(build_convolution(), fast_math=True) != base
-        assert self._key(build_convolution(), pixels_per_thread=2) != base
-        assert self._key(build_convolution(), unroll=True) != base
+    #: two values per CodegenOptions field (the backend is keyed on its
+    #: own, above); a field missing here fails the test below
+    OPTION_PAIRS = {
+        "use_texture": (True, False),
+        "border": ("specialized", "inline"),
+        "use_smem": (False, True),
+        "mask_memory": ("constant", "global"),
+        "block": ((32, 4), (16, 8)),
+        "unroll": (False, True),
+        "fold_constants": (True, False),
+        "fast_math": (False, True),
+        "emit_config_macros": (False, True),
+        "pixels_per_thread": (1, 2),
         # vectorization targets the OpenCL backend only
-        assert self._key(build_convolution(), backend="opencl",
-                         vectorize=4) != \
-            self._key(build_convolution(), backend="opencl")
+        "vectorize": (1, 4),
+    }
+
+    def test_options_change_key(self):
+        fields = {f.name for f in dataclasses.fields(CodegenOptions)}
+        assert set(self.OPTION_PAIRS) == fields - {"backend"}
+        for name, (a, b) in self.OPTION_PAIRS.items():
+            backend = "opencl" if name == "vectorize" else "cuda"
+            assert self._key(build_convolution(), backend=backend,
+                             **{name: a}) != \
+                self._key(build_convolution(), backend=backend,
+                          **{name: b}), name
+
+    def test_default_key_and_entry_are_pinned(self):
+        # moves only with __version__, KEY_SCHEMA_VERSION or ENTRY_FORMAT
+        # (or a deliberate change to the IR form or the device model):
+        # every on-disk store and persisted key depends on it
+        cache = CompilationCache()
+        key = compile_kernel(build_convolution(), backend="cuda",
+                             device="Tesla C2050", cache=cache).cache_key
+        assert key == ("b44d7b90d4f33720fea8e85262623d3d"
+                       "5e1006f2f606cf97d32f471cd05939b6")
+        assert json.dumps(cache.get(key)["options"],
+                          separators=(",", ":")) == (
+            '{"backend":"cuda","use_texture":true,"border":"specialized",'
+            '"use_smem":false,"mask_memory":"constant","block":[32,8],'
+            '"unroll":false,"fold_constants":true,"fast_math":false,'
+            '"emit_config_macros":false,"pixels_per_thread":1,'
+            '"vectorize":1}')
 
 
 class TestCrossProcessStability:

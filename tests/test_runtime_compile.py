@@ -10,7 +10,12 @@ from repro import (
     compile_kernel,
     get_device,
 )
+from repro.dsl import Accessor
 from repro.errors import DslError
+from repro.frontend.parser import accessor_objects, parse_kernel
+from repro.graph import PipelineGraph
+from repro.ir.typecheck import typecheck_kernel
+from repro.runtime.compile import compile_ir
 
 from .helpers import (
     AddUniform,
@@ -101,6 +106,34 @@ class TestCompile:
         k, _, _ = _kernel()
         compiled = compile_kernel(k, mask_memory="constant")
         assert compiled.options.mask_memory == MaskMemory.CONSTANT
+
+    def test_unknown_option_rejected(self):
+        k, _, _ = _kernel()
+        with pytest.raises(TypeError, match="use_textur"):
+            compile_kernel(k, use_textur=True)
+
+    def test_unknown_option_rejected_by_compile_ir(self):
+        k, _, _ = _kernel()
+        ir = typecheck_kernel(parse_kernel(k))
+        with pytest.raises(TypeError, match="use_textur"):
+            compile_ir(ir, accessor_objects(k), k.iteration_space,
+                       use_textur=True)
+
+    @pytest.mark.parametrize("fuse", [False, True])
+    def test_unknown_option_rejected_through_graph_node(self, fuse):
+        # unfused, the node compiles through compile_kernel; fused, the
+        # merged point operators compile through compile_ir
+        src, mid = build_image_pair(16, 16, data=random_image(16, 16))
+        _, out = build_image_pair(16, 16)
+        g = PipelineGraph()
+        g.add_kernel(AddUniform(IterationSpace(mid), Accessor(src), 1.0),
+                     use_textur=True)
+        g.add_kernel(AddUniform(IterationSpace(out), Accessor(mid), 2.0),
+                     use_textur=True)
+        g.mark_output(out)
+        with pytest.raises(TypeError, match="use_textur"):
+            g.run(fuse=fuse, workers=1)
+        assert g.nodes[0].is_fused == fuse
 
     def test_code_properties(self):
         k, _, _ = _kernel()
@@ -245,6 +278,6 @@ class TestStageTimingsSchema:
         assert timings["store_ms"] == 0.0
         assert timings["frontend_ms"] > 0.0
 
-    def test_timings_property_aliases_stage_timings(self):
+    def test_stage_timings_has_no_second_name(self):
         compiled = compile_kernel(_kernel()[0])
-        assert compiled.timings == compiled.stage_timings
+        assert not hasattr(compiled, "timings")
