@@ -102,6 +102,10 @@ class CodegenOptions:
                                       or self.vectorize > 1):
             raise CodegenError(
                 "the CPU backend has no texture/scratchpad/floatN paths")
+        if self.backend == "cpu" and self.mask_memory == MaskMemory.GLOBAL:
+            raise CodegenError(
+                "the CPU backend bakes masks into static arrays; it has "
+                "no global-memory mask path")
         bx, by = self.block
         if bx < 1 or by < 1:
             raise CodegenError(f"invalid block configuration {self.block}")
@@ -189,6 +193,12 @@ def c_float_literal(value: float, t: Optional[ScalarType]) -> str:
     return text
 
 
+def c_type_name(t: ScalarType, backend: str) -> str:
+    """Spelling of *t* in *backend*'s C dialect; the CPU backend keeps
+    the CUDA spellings."""
+    return t.opencl_name if backend == "opencl" else t.cuda_name
+
+
 class CExprPrinter:
     """Prints IR expressions as C for a given backend.
 
@@ -211,7 +221,7 @@ class CExprPrinter:
         self.vector_vars = vector_vars or set()
 
     def type_name(self, t: ScalarType) -> str:
-        return t.cuda_name if self.backend == "cuda" else t.opencl_name
+        return c_type_name(t, self.backend)
 
     def vector_type_name(self, t: ScalarType) -> str:
         """OpenCL floatN/intN spelling for vectorised locals."""

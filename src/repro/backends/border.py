@@ -1,4 +1,4 @@
-"""Boundary-handling region specialisation (paper Section IV-B, Figure 3).
+"""Boundary handling for every C target (paper Sections IV-B/IV-C, Figure 3).
 
 "Special boundary handling mode is added for each border — resulting in nine
 different kernel implementations ... the source-to-source compiler creates
@@ -11,6 +11,13 @@ given grid/block/window geometry, the nine regions with their block-index
 ranges; both the code generators (emitting the Listing-8 dispatch) and the
 launch simulator (executing region variants) use it, guaranteeing the
 printed code and the simulated semantics agree.
+
+The second half is the target-independent C lowering of boundary
+handling, shared by the CUDA, OpenCL and CPU backends: the ``bh_*``
+index-adjustment helpers, the bounded read (constant-mode predicate or
+adjusted index), constant-memory mask declarations and indexing, and the
+resampling helper of interpolating accessors.  Each backend supplies only
+its spelling of a load and its qualifiers.
 """
 
 from __future__ import annotations
@@ -18,7 +25,13 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
-from typing import List, Tuple
+from typing import Callable, List, Tuple
+
+import numpy as np
+
+from ..dsl.boundary import Boundary
+from ..ir.nodes import AccessorInfo, MaskInfo
+from .base import c_float_literal
 
 
 class Side(enum.Enum):
@@ -197,8 +210,6 @@ def region_grid_predicate(region: BorderRegion, backend: str) -> str:
         parts.append(f"{bid_y} >= BH_Y_HI")
     elif region.side_y == Side.NONE:
         parts.append(f"{bid_y} >= BH_Y_LO && {bid_y} < BH_Y_HI")
-    if region.side_x == Side.BOTH and region.side_y == Side.BOTH:
-        return "1"
     return " && ".join(parts) if parts else "1"
 
 
@@ -210,3 +221,170 @@ def border_thread_count(width: int, height: int, block: Tuple[int, int],
     bx, by = block
     return sum(r.num_blocks for r in layout.regions
                if not r.is_interior) * bx * by
+
+
+# --------------------------------------------------------------------------
+# C lowering shared by the CUDA, OpenCL and CPU backends
+# --------------------------------------------------------------------------
+
+#: Index-adjustment helper bodies (plain C99).  ``*_lo``/``*_hi`` are the
+#: cheap single-side forms used inside specialised border regions; the
+#: suffix-less forms handle both sides and arbitrarily far out-of-bounds
+#: indices (degenerate layouts).
+BH_HELPERS = [
+    ("bh_clamp_lo", "int i", "return i < 0 ? 0 : i;"),
+    ("bh_clamp_hi", "int i, int n", "return i >= n ? n - 1 : i;"),
+    ("bh_clamp", "int i, int n",
+     "return i < 0 ? 0 : (i >= n ? n - 1 : i);"),
+    ("bh_repeat_lo", "int i, int n", "return i < 0 ? i + n : i;"),
+    ("bh_repeat_hi", "int i, int n", "return i >= n ? i - n : i;"),
+    ("bh_repeat", "int i, int n",
+     "int m = i % n; return m < 0 ? m + n : m;"),
+    ("bh_mirror_lo", "int i", "return i < 0 ? -1 - i : i;"),
+    ("bh_mirror_hi", "int i, int n",
+     "return i >= n ? 2 * n - 1 - i : i;"),
+    ("bh_mirror", "int i, int n",
+     "int m = i % (2 * n); m = m < 0 ? m + 2 * n : m; "
+     "return m < n ? m : 2 * n - 1 - m;"),
+]
+
+#: (low side, high side, both sides) adjustment call per boundary mode
+_ADJUST = {
+    Boundary.CLAMP: ("bh_clamp_lo({e})", "bh_clamp_hi({e}, {n})",
+                     "bh_clamp({e}, {n})"),
+    Boundary.REPEAT: ("bh_repeat_lo({e}, {n})", "bh_repeat_hi({e}, {n})",
+                      "bh_repeat({e}, {n})"),
+    Boundary.MIRROR: ("bh_mirror_lo({e})", "bh_mirror_hi({e}, {n})",
+                      "bh_mirror({e}, {n})"),
+}
+
+#: a target's load of one pixel at C index expressions ``(ix, iy)``
+Load = Callable[[str, str], str]
+
+
+def bh_helper_lines(qualifier: str) -> List[str]:
+    """The ``bh_*`` helper definitions, each declared *qualifier*."""
+    return ["// boundary index adjustment helpers"] + [
+        f"{qualifier} int {name}({args}) {{ {body} }}"
+        for name, args, body in BH_HELPERS]
+
+
+def adjust_index(expr: str, side: Side, mode: Boundary,
+                 extent: str) -> str:
+    """Wrap index expression *expr* in the adjustment *mode* requires for
+    *side* of one axis of length *extent*.  Undefined and constant modes
+    leave the index alone (constant mode guards the read instead)."""
+    if side == Side.NONE or mode not in _ADJUST:
+        return expr
+    lo, hi, both = _ADJUST[mode]
+    template = lo if side == Side.LO else hi if side == Side.HI else both
+    return template.format(e=expr, n=extent)
+
+
+def bounded_read(acc: AccessorInfo, load: Load, ix: str, iy: str,
+                 side_x: Side, side_y: Side, width: str,
+                 height: str) -> str:
+    """Read *acc* at ``(ix, iy)`` through its boundary mode, guarding the
+    sides *side_x*/*side_y* of a *width* x *height* image.
+
+    Constant mode tests the guarded sides and yields the border literal
+    there; the load itself is clamped so the untaken branch cannot
+    fault.  Every other mode loads at the adjusted index."""
+    mode = Boundary(acc.boundary_mode)
+    if mode != Boundary.CONSTANT:
+        return load(adjust_index(ix, side_x, mode, width),
+                    adjust_index(iy, side_y, mode, height))
+    parts = []
+    if side_x.needs_lo():
+        parts.append(f"({ix}) < 0")
+    if side_x.needs_hi():
+        parts.append(f"({ix}) >= {width}")
+    if side_y.needs_lo():
+        parts.append(f"({iy}) < 0")
+    if side_y.needs_hi():
+        parts.append(f"({iy}) >= {height}")
+    read = load(adjust_index(ix, side_x, Boundary.CLAMP, width),
+                adjust_index(iy, side_y, Boundary.CLAMP, height))
+    if not parts:
+        return read
+    const = c_float_literal(acc.boundary_constant,
+                            acc.pixel_type if acc.pixel_type.is_float
+                            else None)
+    return f"(({' || '.join(parts)}) ? {const} : {read})"
+
+
+def mask_symbol(mask: MaskInfo) -> str:
+    """The constant-memory array holding *mask*'s coefficients."""
+    return f"_const{mask.name}"
+
+
+def mask_index(mask: MaskInfo, dx: str, dy: str) -> str:
+    """Row-major index of offset ``(dx, dy)`` into *mask*'s array."""
+    hx, hy = mask.size[0] // 2, mask.size[1] // 2
+    return f"(({dy}) + {hy}) * {mask.size[0]} + (({dx}) + {hx})"
+
+
+def mask_declaration(mask: MaskInfo, qualifier: str, type_name: str,
+                     initialise: bool = True) -> str:
+    """Declaration of :func:`mask_symbol`, typed *type_name*; with
+    *initialise*, holding the mask's coefficients as literals."""
+    head = (f"{qualifier} {type_name} {mask_symbol(mask)}"
+            f"[{mask.size[0] * mask.size[1]}]")
+    if not initialise:
+        return head + ";"
+    t = mask.pixel_type if mask.pixel_type.is_float else None
+    values = ", ".join(c_float_literal(float(v), t)
+                       for v in np.asarray(mask.coefficients).reshape(-1))
+    return f"{head} = {{ {values} }};"
+
+
+def interp_call(name: str, ix: str, iy: str) -> str:
+    """Read of interpolating accessor *name* for output pixel
+    ``(ix, iy)``, through its :func:`interp_helper_lines` helper."""
+    return (f"_interp_{name}({name}, {name}_stride, {name}_width, "
+            f"{name}_height, {ix}, {iy})")
+
+
+def interp_helper_lines(acc: AccessorInfo, type_name: str, qualifier: str,
+                        pointer_qualifier: str, floor_fn: str
+                        ) -> List[str]:
+    """The resampling helper ``_interp_<name>`` of an interpolating
+    accessor (HIPAcc interpolation modes): maps output pixel ``(ox,
+    oy)`` onto the input and samples it, nearest or bilinear, with the
+    accessor's boundary mode guarding both sides of both axes."""
+    name, t = acc.name, type_name
+    out_w, out_h = acc.out_size
+
+    def sample(x: str, y: str) -> str:
+        return bounded_read(
+            acc, lambda cx, cy: f"img[({cy}) * stride + ({cx})]", x, y,
+            Side.BOTH, Side.BOTH, "width", "height")
+
+    lines = [
+        f"// resampling accessor {name}: {acc.interpolation} "
+        f"interpolation onto {out_w}x{out_h}",
+        f"{qualifier} {t} _interp_{name}({pointer_qualifier}{t} * img, "
+        f"int stride, int width, int height, int ox, int oy) {{",
+        f"    float fx = (ox + 0.5f) * ((float)width / {out_w}.0f) - 0.5f;",
+        f"    float fy = (oy + 0.5f) * ((float)height / {out_h}.0f) - 0.5f;",
+    ]
+    if acc.interpolation == "nearest":
+        return lines + [
+            f"    int nx = (int){floor_fn}(fx + 0.5f);",
+            f"    int ny = (int){floor_fn}(fy + 0.5f);",
+            f"    return {sample('nx', 'ny')};",
+            "}",
+        ]
+    return lines + [
+        f"    int x0 = (int){floor_fn}(fx);",
+        f"    int y0 = (int){floor_fn}(fy);",
+        "    float wx = fx - x0;",
+        "    float wy = fy - y0;",
+        f"    {t} v00 = {sample('x0', 'y0')};",
+        f"    {t} v10 = {sample('x0 + 1', 'y0')};",
+        f"    {t} v01 = {sample('x0', 'y0 + 1')};",
+        f"    {t} v11 = {sample('x0 + 1', 'y0 + 1')};",
+        "    return (v00 * (1.0f - wx) + v10 * wx) * (1.0f - wy)",
+        "         + (v01 * (1.0f - wx) + v11 * wx) * wy;",
+        "}",
+    ]

@@ -12,9 +12,11 @@ lowered once with two-sided index adjustments and compiled for size
 (``cold``); one serial loop calls it for every pixel outside the
 interior.  The body is thus compiled twice per kernel rather than nine
 times, which keeps the ``-O3`` build as cheap as the old ``-O2`` one.
-Filter masks become ``static const`` arrays (the CPU's constant memory
-is its L1), and the same ``bh_*`` helpers are emitted as ``static
-inline`` functions.
+Reads, filter masks and resampling helpers lower through the same
+:mod:`repro.backends.border` code as the GPU backends: masks become
+``static const`` arrays of their own pixel type (the CPU's constant
+memory is its L1), and the ``bh_*`` helpers are ``static inline``
+functions.  Types and intrinsics keep their CUDA spellings.
 """
 
 from __future__ import annotations
@@ -22,25 +24,30 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Tuple
 
-import numpy as np
-
-from ..dsl.boundary import Boundary
 from ..errors import CodegenError
 from ..ir.analysis import max_window
 from ..ir.nodes import Call, KernelIR
 from ..ir.visitors import map_exprs
-from ..types import FLOAT
 from .base import (
     BorderMode,
     CExprPrinter,
     CodegenOptions,
     CStmtPrinter,
     KernelSource,
-    c_float_literal,
+    c_type_name,
     prepare_kernel,
 )
-from .border import BorderRegion, Side, classify_regions
-from .emitter import BH_HELPERS
+from .border import (
+    Side,
+    bh_helper_lines,
+    bounded_read,
+    classify_regions,
+    interp_call,
+    interp_helper_lines,
+    mask_declaration,
+    mask_index,
+    mask_symbol,
+)
 
 #: smallest interior region, in pixels, that runs as an OpenMP parallel
 #: loop.  Below it the loop stays serial: waking a sleeping thread team
@@ -74,11 +81,8 @@ def cpu_common_preamble() -> List[str]:
         "(__builtin_isnan((a) + 0.0f) ? (a) : (a) > (b) ? (a) : (b))",
         "#endif",
         "",
-        "// boundary index adjustment helpers",
     ]
-    for name, args, body in BH_HELPERS:
-        lines.append(f"static inline int {name}({args}) {{ {body} }}")
-    return lines
+    return lines + bh_helper_lines("static inline")
 
 
 def _numpy_min_max(kernel: KernelIR) -> KernelIR:
@@ -100,8 +104,8 @@ class CpuKernelUnit:
 
     name: str
     entry: str
-    interp_lines: List[str]
-    mask_lines: List[str]
+    #: resampling helpers and mask arrays, ahead of the functions
+    decl_lines: List[str]
     func_lines: List[str]
     num_variants: int
 
@@ -114,145 +118,21 @@ class CpuBackend:
     def __init__(self, options: CodegenOptions):
         self.options = options
 
-    # -- lowering hooks ------------------------------------------------------
-
-    def _adjust(self, expr: str, side: Side, mode: Boundary,
-                extent: str) -> str:
-        if mode in (Boundary.UNDEFINED, Boundary.CONSTANT) \
-                or side == Side.NONE:
-            return expr
-        table = {
-            Boundary.CLAMP: ("bh_clamp_lo({e})", "bh_clamp_hi({e}, {n})",
-                             "bh_clamp({e}, {n})"),
-            Boundary.REPEAT: ("bh_repeat_lo({e}, {n})",
-                              "bh_repeat_hi({e}, {n})",
-                              "bh_repeat({e}, {n})"),
-            Boundary.MIRROR: ("bh_mirror_lo({e})",
-                              "bh_mirror_hi({e}, {n})",
-                              "bh_mirror({e}, {n})"),
-        }
-        lo, hi, both = table[mode]
-        template = lo if side == Side.LO else \
-            hi if side == Side.HI else both
-        return template.format(e=expr, n=extent)
-
-    def _lower_read(self, kernel: KernelIR, region: BorderRegion):
-        def lower(name: str, dx: str, dy: str) -> str:
-            acc = kernel.accessor(name)
-            mode = Boundary(acc.boundary_mode)
-            ix = f"gid_x + ({dx})"
-            iy = f"gid_y + ({dy})"
-            if acc.interpolation is not None:
-                return (f"_interp_{name}({name}, {name}_stride, "
-                        f"{name}_width, {name}_height, {ix}, {iy})")
-            if mode == Boundary.UNDEFINED \
-                    or self.options.border == BorderMode.NONE:
-                return f"{name}[({iy}) * {name}_stride + ({ix})]"
-            if mode == Boundary.CONSTANT:
-                parts = []
-                if region.side_x.needs_lo():
-                    parts.append(f"({ix}) < 0")
-                if region.side_x.needs_hi():
-                    parts.append(f"({ix}) >= {name}_width")
-                if region.side_y.needs_lo():
-                    parts.append(f"({iy}) < 0")
-                if region.side_y.needs_hi():
-                    parts.append(f"({iy}) >= {name}_height")
-                cx = self._adjust(ix, region.side_x, Boundary.CLAMP,
-                                  f"{name}_width")
-                cy = self._adjust(iy, region.side_y, Boundary.CLAMP,
-                                  f"{name}_height")
-                load = f"{name}[({cy}) * {name}_stride + ({cx})]"
-                if not parts:
-                    return load
-                const = c_float_literal(
-                    acc.boundary_constant,
-                    acc.pixel_type if acc.pixel_type.is_float else None)
-                return f"(({' || '.join(parts)}) ? {const} : {load})"
-            ax = self._adjust(ix, region.side_x, mode, f"{name}_width")
-            ay = self._adjust(iy, region.side_y, mode, f"{name}_height")
-            return f"{name}[({ay}) * {name}_stride + ({ax})]"
-
-        return lower
-
-    def _lower_mask(self, kernel: KernelIR):
-        def lower(name: str, dx: str, dy: str) -> str:
-            mask = kernel.mask(name)
-            hx, hy = mask.size[0] // 2, mask.size[1] // 2
-            return (f"_const{name}[(({dy}) + {hy}) * {mask.size[0]} "
-                    f"+ (({dx}) + {hx})]")
-
-        return lower
-
-    # -- emission -------------------------------------------------------------
-
-    def _mask_lines(self, kernel: KernelIR) -> List[str]:
-        lines = []
-        for mask in kernel.masks:
-            n = mask.size[0] * mask.size[1]
-            if mask.coefficients is None:
-                lines.append(f"static float _const{mask.name}[{n}];")
-                continue
-            flat = np.asarray(mask.coefficients).reshape(-1)
-            values = ", ".join(
-                c_float_literal(float(v),
-                                mask.pixel_type
-                                if mask.pixel_type.is_float else None)
-                for v in flat)
-            lines.append(
-                f"static const float _const{mask.name}[{n}] = "
-                f"{{ {values} }};")
-        return lines
-
-    def _interp_lines(self, kernel: KernelIR) -> List[str]:
+    def _decl_lines(self, kernel: KernelIR) -> List[str]:
         lines: List[str] = []
         for acc in kernel.accessors:
-            if acc.interpolation is None:
-                continue
-            t = acc.pixel_type.cuda_name
-            name = acc.name
-            mode = Boundary(acc.boundary_mode)
-            out_w, out_h = acc.out_size
-
-            def sample(xe, ye):
-                ax = self._adjust(xe, Side.BOTH, mode, "width")
-                ay = self._adjust(ye, Side.BOTH, mode, "height")
-                if mode == Boundary.CONSTANT:
-                    pred = (f"({xe}) < 0 || ({xe}) >= width || "
-                            f"({ye}) < 0 || ({ye}) >= height")
-                    const = c_float_literal(acc.boundary_constant, FLOAT)
-                    return (f"(({pred}) ? {const} : img[bh_clamp({ye}, "
-                            f"height) * stride + bh_clamp({xe}, width)])")
-                return f"img[({ay}) * stride + ({ax})]"
-
-            lines += [
-                f"static inline {t} _interp_{name}(const {t} * img, "
-                f"int stride, int width, int height, int ox, int oy) {{",
-                f"    float fx = (ox + 0.5f) * ((float)width / "
-                f"{out_w}.0f) - 0.5f;",
-                f"    float fy = (oy + 0.5f) * ((float)height / "
-                f"{out_h}.0f) - 0.5f;",
-            ]
-            if acc.interpolation == "nearest":
-                lines += [
-                    "    int nx = (int)floorf(fx + 0.5f);",
-                    "    int ny = (int)floorf(fy + 0.5f);",
-                    f"    return {sample('nx', 'ny')};",
-                    "}",
-                ]
-            else:
-                lines += [
-                    "    int x0 = (int)floorf(fx);",
-                    "    int y0 = (int)floorf(fy);",
-                    "    float wx = fx - x0, wy = fy - y0;",
-                    f"    {t} v00 = {sample('x0', 'y0')};",
-                    f"    {t} v10 = {sample('x0 + 1', 'y0')};",
-                    f"    {t} v01 = {sample('x0', 'y0 + 1')};",
-                    f"    {t} v11 = {sample('x0 + 1', 'y0 + 1')};",
-                    "    return (v00 * (1.0f - wx) + v10 * wx) * "
-                    "(1.0f - wy) + (v01 * (1.0f - wx) + v11 * wx) * wy;",
-                    "}",
-                ]
+            if acc.interpolation is not None:
+                lines += interp_helper_lines(
+                    acc, c_type_name(acc.pixel_type, "cpu"),
+                    "static inline", "const ", "floorf")
+        for mask in kernel.masks:
+            if mask.coefficients is None:
+                raise CodegenError(
+                    f"mask {mask.name!r} of kernel {kernel.name!r} has no "
+                    "coefficients: call Mask.set() before generating CPU "
+                    "code")
+            lines.append(mask_declaration(
+                mask, "static const", c_type_name(mask.pixel_type, "cpu")))
         return lines
 
     def _params(self, kernel: KernelIR) -> List[Tuple[str, str]]:
@@ -272,13 +152,29 @@ class CpuBackend:
                 params.append((f"{p.type.cuda_name} {p.name}", p.name))
         return params
 
-    def _body(self, kernel: KernelIR, region: BorderRegion,
+    def _body(self, kernel: KernelIR, side: Side,
               indent: int) -> List[str]:
         """The kernel body for one pixel ``(gid_x, gid_y)``, with the
-        index adjustments *region*'s sides need."""
-        exprs = CExprPrinter("cuda",
-                             lower_read=self._lower_read(kernel, region),
-                             lower_mask=self._lower_mask(kernel))
+        index adjustments *side* of both axes needs."""
+        def read(name: str, dx: str, dy: str) -> str:
+            acc = kernel.accessor(name)
+            ix, iy = f"gid_x + ({dx})", f"gid_y + ({dy})"
+            if acc.interpolation is not None:
+                return interp_call(name, ix, iy)
+
+            def load(x: str, y: str) -> str:
+                return f"{name}[({y}) * {name}_stride + ({x})]"
+
+            if self.options.border == BorderMode.NONE:
+                return load(ix, iy)
+            return bounded_read(acc, load, ix, iy, side, side,
+                                f"{name}_width", f"{name}_height")
+
+        def mask(name: str, dx: str, dy: str) -> str:
+            info = kernel.mask(name)
+            return f"{mask_symbol(info)}[{mask_index(info, dx, dy)}]"
+
+        exprs = CExprPrinter("cuda", lower_read=read, lower_mask=mask)
         stmts = CStmtPrinter(
             exprs,
             lower_write=lambda v:
@@ -301,8 +197,7 @@ class CpuBackend:
             f"        for (int gid_x = IS_offset_x + {x0}; "
             f"gid_x < IS_offset_x + {x1}; ++gid_x) {{",
         ]
-        lines += self._body(kernel, BorderRegion(
-            Side.NONE, Side.NONE, x0, x1, y0, y1), 3)
+        lines += self._body(kernel, Side.NONE, 3)
         lines += ["        }", "    }"]
         return lines
 
@@ -370,8 +265,7 @@ class CpuBackend:
             func_lines += [
                 f"static __attribute__((noinline, cold)) void "
                 f"{kernel.name}_bpx({decls}, int gid_x, int gid_y) {{"]
-            func_lines += self._body(kernel, BorderRegion(
-                Side.BOTH, Side.BOTH, 0, width, 0, height), 1)
+            func_lines += self._body(kernel, Side.BOTH, 1)
             func_lines += ["}", ""]
         linkage = "" if export else "static "
         func_lines.append(f"{linkage}void {kernel.name}_cpu({decls}) {{")
@@ -385,8 +279,7 @@ class CpuBackend:
         return CpuKernelUnit(
             name=kernel.name,
             entry=f"{kernel.name}_cpu",
-            interp_lines=self._interp_lines(kernel),
-            mask_lines=self._mask_lines(kernel),
+            decl_lines=self._decl_lines(kernel),
             func_lines=func_lines,
             num_variants=int(box is not None) + int(has_border),
         )
@@ -400,8 +293,7 @@ class CpuBackend:
             "backend)",
         ]
         lines += cpu_common_preamble()
-        lines += unit.interp_lines
-        lines += unit.mask_lines
+        lines += unit.decl_lines
         lines.append("")
         lines += unit.func_lines
         device_code = "\n".join(lines) + "\n"

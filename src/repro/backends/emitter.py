@@ -1,10 +1,12 @@
 """Shared kernel-emission skeleton for the CUDA and OpenCL backends.
 
-Implements everything the two targets have in common — thread-index setup,
-the nine-region boundary dispatch (Listing 8), scratchpad staging
-(Listing 7), boundary index-adjustment helpers, constant-memory masks —
-while subclasses supply target syntax (qualifiers, builtins, texture reads,
-host API).
+Implements everything the two GPU targets have in common — thread-index
+setup, the nine-region boundary dispatch (Listing 8), scratchpad staging
+(Listing 7), vectorised reads — while subclasses supply target syntax
+(qualifiers, builtins, texture reads, host API).  Boundary index
+adjustment, constant-border reads, constant-memory masks and resampling
+helpers come from :mod:`repro.backends.border`, which the CPU backend
+lowers through as well.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from ..ir.nodes import (
     VarDecl,
     VarRef,
 )
-from ..hwmodel.resources import smem_tile_geometry
+from ..hwmodel.resources import smem_tile_bytes, smem_tile_geometry
 from ..ir.analysis import max_window, read_accessors
 from ..ir.visitors import iter_all_exprs, walk_stmts
 from ..types import ScalarType
@@ -35,42 +37,28 @@ from .base import (
     CStmtPrinter,
     KernelSource,
     MaskMemory,
-    c_float_literal,
+    c_type_name,
     prepare_kernel,
 )
 from .border import (
     BorderRegion,
     RegionLayout,
     Side,
+    adjust_index,
+    bh_helper_lines,
+    bounded_read,
     classify_regions,
+    interp_call,
+    interp_helper_lines,
+    mask_declaration,
+    mask_index,
+    mask_symbol,
     region_grid_predicate,
 )
 
 #: Boundary modes hardware address modes can express (paper Section VI-A.1).
 HARDWARE_MODES_CUDA = {Boundary.CLAMP, Boundary.REPEAT}
 HARDWARE_MODES_OPENCL = {Boundary.CLAMP, Boundary.REPEAT, Boundary.CONSTANT}
-
-#: Index-adjustment helper bodies, shared verbatim by both backends (plain
-#: C99).  ``*_lo``/``*_hi`` are the cheap single-side forms used inside
-#: specialised border regions; the suffix-less forms handle both sides and
-#: arbitrarily far out-of-bounds indices (degenerate layouts).
-BH_HELPERS = [
-    ("bh_clamp_lo", "int i", "return i < 0 ? 0 : i;"),
-    ("bh_clamp_hi", "int i, int n", "return i >= n ? n - 1 : i;"),
-    ("bh_clamp", "int i, int n",
-     "return i < 0 ? 0 : (i >= n ? n - 1 : i);"),
-    ("bh_repeat_lo", "int i, int n", "return i < 0 ? i + n : i;"),
-    ("bh_repeat_hi", "int i, int n", "return i >= n ? i - n : i;"),
-    ("bh_repeat", "int i, int n",
-     "int m = i % n; return m < 0 ? m + n : m;"),
-    ("bh_mirror_lo", "int i", "return i < 0 ? -1 - i : i;"),
-    ("bh_mirror_hi", "int i, int n",
-     "return i >= n ? 2 * n - 1 - i : i;"),
-    ("bh_mirror", "int i, int n",
-     "int m = i % (2 * n); m = m < 0 ? m + 2 * n : m; "
-     "return m < n ? m : 2 * n - 1 - m;"),
-]
-
 
 def infer_vector_vars(kernel: KernelIR) -> set:
     """Locals that carry per-lane (vector) values in vectorised codegen:
@@ -133,7 +121,7 @@ class KernelEmitter:
         raise NotImplementedError
 
     def emit_global_read(self, acc: AccessorInfo, ix: str, iy: str) -> str:
-        raise NotImplementedError
+        return f"{acc.name}[({iy}) * {acc.name}_stride + ({ix})]"
 
     def emit_texture_read(self, acc: AccessorInfo, ix: str, iy: str) -> str:
         raise NotImplementedError
@@ -156,7 +144,7 @@ class KernelEmitter:
         raise NotImplementedError
 
     def type_name(self, t: ScalarType) -> str:
-        return t.cuda_name if self.backend == "cuda" else t.opencl_name
+        return c_type_name(t, self.backend)
 
     def supports_goto(self) -> bool:
         """CUDA C supports the Listing-8 goto dispatch; OpenCL C forbids
@@ -169,9 +157,6 @@ class KernelEmitter:
 
     def entry_name(self, kernel: KernelIR) -> str:
         return f"{kernel.name}_kernel"
-
-    def mask_symbol(self, mask: MaskInfo) -> str:
-        return f"_const{mask.name}"
 
     def _hardware_modes(self):
         return (HARDWARE_MODES_CUDA if self.backend == "cuda"
@@ -195,47 +180,13 @@ class KernelEmitter:
                     "OpenCL samplers only support constant border values "
                     "0.0 or 1.0")
 
-    # -- boundary index adjustment ------------------------------------
-
-    def _adjust_index(self, expr: str, side: Side, mode: Boundary,
-                      extent: str) -> str:
-        """Wrap index expression *expr* in the adjustment *mode* requires
-        for *side* of one axis."""
-        if mode in (Boundary.UNDEFINED, Boundary.CONSTANT):
-            return expr  # constant handled by predicate at the read site
-        if side == Side.NONE:
-            return expr
-        table = {
-            Boundary.CLAMP: ("bh_clamp_lo({e})", "bh_clamp_hi({e}, {n})",
-                             "bh_clamp({e}, {n})"),
-            Boundary.REPEAT: ("bh_repeat_lo({e}, {n})",
-                              "bh_repeat_hi({e}, {n})",
-                              "bh_repeat({e}, {n})"),
-            Boundary.MIRROR: ("bh_mirror_lo({e})",
-                              "bh_mirror_hi({e}, {n})",
-                              "bh_mirror({e}, {n})"),
-        }
-        lo, hi, both = table[mode]
-        if side == Side.LO:
-            return lo.format(e=expr, n=extent)
-        if side == Side.HI:
-            return hi.format(e=expr, n=extent)
-        return both.format(e=expr, n=extent)
-
-    def _oob_predicate(self, ix: str, iy: str, region: BorderRegion,
-                       acc: AccessorInfo) -> Optional[str]:
-        """Out-of-bounds predicate for CONSTANT mode, restricted to the
-        sides *region* can actually cross."""
-        parts = []
-        if region.side_x.needs_lo():
-            parts.append(f"({ix}) < 0")
-        if region.side_x.needs_hi():
-            parts.append(f"({ix}) >= {acc.name}_width")
-        if region.side_y.needs_lo():
-            parts.append(f"({iy}) < 0")
-        if region.side_y.needs_hi():
-            parts.append(f"({iy}) >= {acc.name}_height")
-        return " || ".join(parts) if parts else None
+    def _bounded_read(self, acc: AccessorInfo, read, ix: str, iy: str,
+                      region: BorderRegion) -> str:
+        """Read *acc* with ``read(acc, ix, iy)`` through its boundary
+        mode, on the sides *region* can cross."""
+        return bounded_read(acc, lambda x, y: read(acc, x, y), ix, iy,
+                            region.side_x, region.side_y,
+                            f"{acc.name}_width", f"{acc.name}_height")
 
     def make_read_lowering(self, kernel: KernelIR, region: BorderRegion,
                            smem_accessors: Sequence[str]):
@@ -254,12 +205,11 @@ class KernelEmitter:
                     raise CodegenError(
                         "interpolating accessors are not supported in "
                         "vectorized kernels")
-                return (f"_interp_{name}({name}, {name}_stride, "
-                        f"{name}_width, {name}_height, gid_x + ({dx}), "
-                        f"gid_y + ({dy}))")
+                return interp_call(name, f"gid_x + ({dx})",
+                                   f"gid_y + ({dy})")
 
             if self.options.vectorize > 1:
-                return self._vector_read(kernel, region, acc, mode, dx, dy)
+                return self._vector_read(region, acc, mode, dx, dy)
 
             if self.options.border == BorderMode.HARDWARE \
                     and mode != Boundary.UNDEFINED:
@@ -273,30 +223,10 @@ class KernelEmitter:
 
             ix = f"gid_x + ({dx})"
             iy = f"gid_y + ({dy})"
-            if self.options.border == BorderMode.NONE \
-                    or mode == Boundary.UNDEFINED:
+            if self.options.border == BorderMode.NONE:
                 return self._plain_read(acc, ix, iy)
-
-            if mode == Boundary.CONSTANT:
-                pred = self._oob_predicate(ix, iy, region, acc)
-                # clamp the actual load so the untaken branch cannot fault
-                cx = self._adjust_index(ix, region.side_x, Boundary.CLAMP,
-                                        f"{name}_width")
-                cy = self._adjust_index(iy, region.side_y, Boundary.CLAMP,
-                                        f"{name}_height")
-                load = self._plain_read(acc, cx, cy)
-                if pred is None:
-                    return load
-                const = c_float_literal(acc.boundary_constant,
-                                        acc.pixel_type
-                                        if acc.pixel_type.is_float else None)
-                return f"(({pred}) ? {const} : {load})"
-
-            ax = self._adjust_index(ix, region.side_x, mode,
-                                    f"{name}_width")
-            ay = self._adjust_index(iy, region.side_y, mode,
-                                    f"{name}_height")
-            return self._plain_read(acc, ax, ay)
+            return self._bounded_read(acc, self._plain_read, ix, iy,
+                                      region)
 
         return lower
 
@@ -305,8 +235,8 @@ class KernelEmitter:
             return self.emit_texture_read(acc, ix, iy)
         return self.emit_global_read(acc, ix, iy)
 
-    def _vector_read(self, kernel: KernelIR, region: BorderRegion,
-                     acc, mode: Boundary, dx: str, dy: str) -> str:
+    def _vector_read(self, region: BorderRegion, acc: AccessorInfo,
+                     mode: Boundary, dx: str, dy: str) -> str:
         """Vectorised read (OpenCL, Section VIII): contiguous vloadN in
         the interior, per-lane scalarised + boundary-adjusted gathers in
         border regions."""
@@ -323,29 +253,9 @@ class KernelEmitter:
                 or self.options.border == BorderMode.NONE:
             return (f"vload{vec}(0, {name} + ({iy}) * {name}_stride "
                     f"+ ({ix}))")
-        lanes = []
-        for lane in range(vec):
-            lx = f"gid_x + ({dx}) + {lane}"
-            if mode == Boundary.CONSTANT:
-                pred = self._oob_predicate(lx, iy, region, acc)
-                cx = self._adjust_index(lx, region.side_x, Boundary.CLAMP,
-                                        f"{name}_width")
-                cy = self._adjust_index(iy, region.side_y, Boundary.CLAMP,
-                                        f"{name}_height")
-                load = self.emit_global_read(acc, cx, cy)
-                if pred is not None:
-                    const = c_float_literal(
-                        acc.boundary_constant,
-                        acc.pixel_type if acc.pixel_type.is_float
-                        else None)
-                    load = f"(({pred}) ? {const} : {load})"
-                lanes.append(load)
-            else:
-                ax = self._adjust_index(lx, region.side_x, mode,
-                                        f"{name}_width")
-                ay = self._adjust_index(iy, region.side_y, mode,
-                                        f"{name}_height")
-                lanes.append(self.emit_global_read(acc, ax, ay))
+        lanes = [self._bounded_read(acc, self.emit_global_read,
+                                    f"gid_x + ({dx}) + {lane}", iy, region)
+                 for lane in range(vec)]
         return f"({t}{vec})({', '.join(lanes)})"
 
     def _check_vectorizable(self, kernel: KernelIR) -> None:
@@ -358,17 +268,15 @@ class KernelEmitter:
     def make_mask_lowering(self, kernel: KernelIR):
         def lower(name: str, dx: str, dy: str) -> str:
             mask = kernel.mask(name)
-            hx, hy = mask.size[0] // 2, mask.size[1] // 2
-            idx = (f"(({dy}) + {hy}) * {mask.size[0]} + (({dx}) + {hx})")
-            if (self.options.mask_memory == MaskMemory.CONSTANT
+            idx = mask_index(mask, dx, dy)
+            # global masks, and OpenCL's dynamically initialised
+            # constant memory (Section IV-C), are buffer arguments
+            if self.options.mask_memory == MaskMemory.GLOBAL or (
+                    self.options.mask_memory == MaskMemory.CONSTANT
                     and not self._mask_is_static(mask)
                     and self.backend == "opencl"):
-                # dynamically initialised constant memory is a __constant
-                # buffer argument in OpenCL (Section IV-C)
                 return f"{mask.name}_coeffs[{idx}]"
-            if self.options.mask_memory == MaskMemory.GLOBAL:
-                return f"{mask.name}_coeffs[{idx}]"
-            return f"{self.mask_symbol(mask)}[{idx}]"
+            return f"{mask_symbol(mask)}[{idx}]"
 
         return lower
 
@@ -386,26 +294,14 @@ class KernelEmitter:
                                             MaskMemory.INLINE):
             return lines
         for mask in kernel.masks:
-            symbol = self.mask_symbol(mask)
-            n = mask.size[0] * mask.size[1]
-            t = self.type_name(mask.pixel_type)
-            if self._mask_is_static(mask):
-                import numpy as np
-                flat = np.asarray(mask.coefficients).reshape(-1)
-                values = ", ".join(
-                    c_float_literal(float(v),
-                                    mask.pixel_type
-                                    if mask.pixel_type.is_float else None)
-                    for v in flat)
-                lines.append(
-                    f"{self.constant_qualifier()} {t} {symbol}[{n}] = "
-                    f"{{ {values} }};")
-            elif self.backend == "cuda":
-                # dynamic: declared only, initialised at run time via
-                # cudaMemcpyToSymbol (Section IV-C)
-                lines.append(
-                    f"{self.constant_qualifier()} {t} {symbol}[{n}];")
-            # OpenCL dynamic masks arrive as __constant buffer arguments.
+            static = self._mask_is_static(mask)
+            # a dynamic mask is declared only on CUDA, initialised at run
+            # time via cudaMemcpyToSymbol (Section IV-C); on OpenCL it
+            # arrives as a __constant buffer argument
+            if static or self.backend == "cuda":
+                lines.append(mask_declaration(
+                    mask, self.constant_qualifier(),
+                    self.type_name(mask.pixel_type), initialise=static))
         return lines
 
     def constant_qualifier(self) -> str:
@@ -439,30 +335,19 @@ class KernelEmitter:
             f"{pad}        int _iy = {self.block_idx(1)} * "
             f"{self.block_dim(1)} + _sy - {hy};",
         ]
-        if mode not in (Boundary.UNDEFINED, Boundary.CONSTANT) \
-                and self.options.border != BorderMode.NONE:
-            ax = self._adjust_index("_ix", region.side_x, mode,
-                                    f"{name}_width")
-            ay = self._adjust_index("_iy", region.side_y, mode,
-                                    f"{name}_height")
-            lines.append(f"{pad}        _ix = {ax};")
-            lines.append(f"{pad}        _iy = {ay};")
-            load = self._plain_read(acc, "_ix", "_iy")
-        elif mode == Boundary.CONSTANT \
-                and self.options.border != BorderMode.NONE:
-            pred = self._oob_predicate("_ix", "_iy", region, acc)
-            cx = self._adjust_index("_ix", region.side_x, Boundary.CLAMP,
-                                    f"{name}_width")
-            cy = self._adjust_index("_iy", region.side_y, Boundary.CLAMP,
-                                    f"{name}_height")
-            load = self._plain_read(acc, cx, cy)
-            if pred is not None:
-                const = c_float_literal(acc.boundary_constant,
-                                        acc.pixel_type
-                                        if acc.pixel_type.is_float else None)
-                load = f"(({pred}) ? {const} : {load})"
-        else:
-            load = self._plain_read(acc, "_ix", "_iy")
+        load = self._plain_read(acc, "_ix", "_iy")
+        if self.options.border != BorderMode.NONE:
+            if mode == Boundary.CONSTANT:
+                load = self._bounded_read(acc, self._plain_read, "_ix",
+                                          "_iy", region)
+            elif mode != Boundary.UNDEFINED:
+                # adjust the staged index in place; the load reads it
+                ax = adjust_index("_ix", region.side_x, mode,
+                                  f"{name}_width")
+                ay = adjust_index("_iy", region.side_y, mode,
+                                  f"{name}_height")
+                lines += [f"{pad}        _ix = {ax};",
+                          f"{pad}        _iy = {ay};"]
         lines += [
             f"{pad}        _smem{name}[_sy][_sx] = {load};",
             f"{pad}    }}",
@@ -632,7 +517,7 @@ class KernelEmitter:
             f"_tex{a.name}" for a in kernel.accessors
             if self.options.use_texture and a.name in self.read_set)
         constant_symbols = tuple(
-            self.mask_symbol(m) for m in kernel.masks
+            mask_symbol(m) for m in kernel.masks
             if self.options.mask_memory == MaskMemory.CONSTANT)
         return KernelSource(
             entry=self.entry_name(kernel),
@@ -662,85 +547,26 @@ class KernelEmitter:
         return lines
 
     def _bh_helper_lines(self, kernel: KernelIR) -> List[str]:
-        has_interp = any(a.interpolation is not None
-                         for a in kernel.accessors)
-        if self.options.border in (BorderMode.NONE, BorderMode.HARDWARE) \
-                and not has_interp:
-            return []
-        needed = has_interp or any(
-            Boundary(a.boundary_mode) != Boundary.UNDEFINED
-            for a in kernel.accessors)
-        if not needed:
-            return []
-        q = self.device_fn_qualifier()
-        lines = ["// boundary index adjustment helpers"]
-        for name, args, body in BH_HELPERS:
-            lines.append(f"{q} int {name}({args}) {{ {body} }}")
-        return lines
+        """The ``bh_*`` helpers, when a guarded or resampled read uses
+        them."""
+        guarded = self.options.border not in (BorderMode.NONE,
+                                              BorderMode.HARDWARE)
+        if any(a.interpolation is not None or (
+                guarded and Boundary(a.boundary_mode) != Boundary.UNDEFINED)
+               for a in kernel.accessors):
+            return bh_helper_lines(self.device_fn_qualifier())
+        return []
 
     def _interp_helper_lines(self, kernel: KernelIR) -> List[str]:
         """Per-accessor resampling helpers (HIPAcc interpolation modes)."""
-        lines: List[str] = []
         floor_fn = "floorf" if self.backend == "cuda" else "floor"
-        q = self.device_fn_qualifier()
+        pointer_q = "const " if self.backend == "cuda" else "__global const "
+        lines: List[str] = []
         for acc in kernel.accessors:
-            if acc.interpolation is None:
-                continue
-            t = self.type_name(acc.pixel_type)
-            name = acc.name
-            mode = Boundary(acc.boundary_mode)
-            out_w, out_h = acc.out_size
-            const_t = "const " if self.backend == "cuda" \
-                else "__global const "
-
-            def sample(x_expr, y_expr):
-                if mode == Boundary.CONSTANT:
-                    pred = (f"({x_expr}) < 0 || ({x_expr}) >= width || "
-                            f"({y_expr}) < 0 || ({y_expr}) >= height")
-                    cx = f"bh_clamp({x_expr}, width)"
-                    cy = f"bh_clamp({y_expr}, height)"
-                    const = c_float_literal(
-                        acc.boundary_constant,
-                        acc.pixel_type if acc.pixel_type.is_float
-                        else None)
-                    return (f"(({pred}) ? {const} : "
-                            f"img[({cy}) * stride + ({cx})])")
-                ax = self._adjust_index(x_expr, Side.BOTH, mode, "width")
-                ay = self._adjust_index(y_expr, Side.BOTH, mode, "height")
-                return f"img[({ay}) * stride + ({ax})]"
-
-            lines += [
-                f"// resampling accessor {name}: {acc.interpolation} "
-                f"interpolation onto {out_w}x{out_h}",
-                f"{q} {t} _interp_{name}({const_t}{t} * img, int stride,"
-                f" int width, int height, int ox, int oy) {{",
-                f"    float fx = (ox + 0.5f) * ((float)width / "
-                f"{out_w}.0f) - 0.5f;",
-                f"    float fy = (oy + 0.5f) * ((float)height / "
-                f"{out_h}.0f) - 0.5f;",
-            ]
-            if acc.interpolation == "nearest":
-                lines += [
-                    f"    int nx = (int){floor_fn}(fx + 0.5f);",
-                    f"    int ny = (int){floor_fn}(fy + 0.5f);",
-                    f"    return {sample('nx', 'ny')};",
-                    "}",
-                ]
-            else:
-                lines += [
-                    f"    int x0 = (int){floor_fn}(fx);",
-                    f"    int y0 = (int){floor_fn}(fy);",
-                    "    float wx = fx - x0;",
-                    "    float wy = fy - y0;",
-                    f"    {t} v00 = {sample('x0', 'y0')};",
-                    f"    {t} v10 = {sample('x0 + 1', 'y0')};",
-                    f"    {t} v01 = {sample('x0', 'y0 + 1')};",
-                    f"    {t} v11 = {sample('x0 + 1', 'y0 + 1')};",
-                    "    return (v00 * (1.0f - wx) + v10 * wx) * "
-                    "(1.0f - wy)",
-                    "         + (v01 * (1.0f - wx) + v11 * wx) * wy;",
-                    "}",
-                ]
+            if acc.interpolation is not None:
+                lines += interp_helper_lines(
+                    acc, self.type_name(acc.pixel_type),
+                    self.device_fn_qualifier(), pointer_q, floor_fn)
         return lines
 
     def _index_setup(self, kernel: KernelIR) -> List[str]:
@@ -808,11 +634,8 @@ class KernelEmitter:
         for name in smem_accessors:
             acc = kernel.accessor(name)
             lines += self.smem_staging_lines(kernel, region, acc, indent + 1)
-            bxx, byy = self.options.block
-            tile = ((byy + acc.window[1] - 1)
-                    * (bxx + acc.window[0] - 1 + 1)
-                    * acc.pixel_type.size)
-            smem_bytes += tile
+            smem_bytes += smem_tile_bytes(self.options.block, acc.window,
+                                          acc.pixel_type.size)
 
         vector_vars = (infer_vector_vars(kernel)
                        if self.options.vectorize > 1 else set())

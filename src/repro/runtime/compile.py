@@ -59,7 +59,9 @@ from ..mapping.optdb import TunedDatabase, default_database
 from ..obs import normalize_stage_timings, span
 from .program import CompiledKernel
 
-_DEFAULT_DEVICE = {"cuda": "Tesla C2050", "opencl": "Tesla C2050"}
+#: the device of a compile that names none, whatever the backend; the
+#: backend check then rejects a backend it lacks with the usual error
+_DEFAULT_DEVICE = "Tesla C2050"
 
 
 def _lint_key(ir_dig: str, options) -> str:
@@ -122,7 +124,7 @@ def _resolve_device(device: Union[None, str, DeviceSpec],
     if isinstance(device, DeviceSpec):
         return device
     if device is None:
-        device = _DEFAULT_DEVICE[backend]
+        device = _DEFAULT_DEVICE
     return get_device(device)
 
 

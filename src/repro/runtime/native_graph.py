@@ -94,7 +94,7 @@ from .native import compiler_signature, find_c_compiler, native_workdir
 #: changes — stored entries with another format are ignored.  Any change
 #: to C emission needs this bump: graph_fingerprint hashes IR and
 #: pointer-table slots, not the emitted source.
-NATIVE_GRAPH_FORMAT = 6
+NATIVE_GRAPH_FORMAT = 7
 
 #: the one compile command's flags (``cc <flags> tu.c -o tu.so -lm``),
 #: folded into :func:`graph_fingerprint` together with the target ISA
@@ -438,8 +438,7 @@ def emit_graph_source(plan: NativeGraphPlan) -> str:
         if not lw.native:
             continue
         lines.append(f"// node {lw.node.name!r} ({lw.node.label()})")
-        lines += lw.unit.interp_lines
-        lines += lw.unit.mask_lines
+        lines += lw.unit.decl_lines
         lines += lw.unit.func_lines
         lines.append("")
     for k, seg in enumerate(plan.segments):

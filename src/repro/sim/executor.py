@@ -14,7 +14,7 @@ x86 VM.
 
 Boundary handling is applied per boundary *region* with exactly the
 side-limited index adjustments the generated device code uses
-(:data:`repro.backends.emitter.BH_HELPERS`): a thread block classified as a
+(:data:`repro.backends.border.BH_HELPERS`): a thread block classified as a
 top-left region only guards the low sides.  :func:`sample_accessor` is the
 NumPy twin of those C helpers; a property test pins the two to ``np.pad``
 semantics.

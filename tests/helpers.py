@@ -96,6 +96,26 @@ class MaskConvolution(Kernel):
         self.output(s)
 
 
+class IntMaskConvolution(Kernel):
+    """Convolution with an integer accumulator: in an int32 pipeline
+    every product and sum is exact, so a mask held in float shows."""
+
+    def __init__(self, iteration_space, inp, mask, rx, ry):
+        super().__init__(iteration_space)
+        self.inp = inp
+        self.cmask = mask
+        self.rx = int(rx)
+        self.ry = int(ry)
+        self.add_accessor(inp)
+
+    def kernel(self):
+        s = 0
+        for dy in range(-self.ry, self.ry + 1):
+            for dx in range(-self.rx, self.rx + 1):
+                s += self.cmask(dx, dy) * self.inp(dx, dy)
+        self.output(s)
+
+
 class ConvolveSyntax(Kernel):
     """Same convolution via the Section-VIII convolve() lambda syntax."""
 

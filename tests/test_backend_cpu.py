@@ -1,8 +1,9 @@
 """CPU (C99 + OpenMP) backend: loop-split boundary specialisation."""
 
+import numpy as np
 import pytest
 
-from repro import Boundary, CodegenOptions
+from repro import Boundary, CodegenOptions, Mask
 from repro.backends import generate
 from repro.errors import CodegenError
 from repro.evaluation.variants import _bilateral_ir
@@ -97,9 +98,19 @@ class TestStructure:
         code = _gen(mode=Boundary.CONSTANT).device_code
         assert "? 0.0f :" in code
 
-    def test_masks_are_static_const(self):
-        code = _gen().device_code
-        assert "static const float _constcmask[25]" in code
+    @pytest.mark.parametrize("pixel_type", ["float", "int", "double"])
+    def test_masks_are_static_const(self, pixel_type):
+        # declared in the mask's own type: an int mask held in float
+        # rounds the products of int pixels past 2^24
+        src, dst = build_image_pair(16, 16)
+        mask = Mask(5, 5, pixel_type=pixel_type).set(np.ones((5, 5)))
+        k = MaskConvolution(IterationSpace(dst),
+                            accessor_for(src, 5, Boundary.CLAMP), mask,
+                            2, 2)
+        ir = typecheck_kernel(parse_kernel(k))
+        code = generate(ir, CodegenOptions(backend="cpu"),
+                        launch_geometry=(16, 16)).device_code
+        assert f"static const {pixel_type} _constcmask[25] = {{ " in code
 
     def test_restrict_qualifiers(self):
         code = _gen().device_code
@@ -139,6 +150,22 @@ class TestValidation:
                        dict(vectorize=4)):
             with pytest.raises(CodegenError):
                 CodegenOptions(backend="cpu", **kwargs).validate()
+
+    def test_global_masks_rejected(self):
+        with pytest.raises(CodegenError, match="global-memory mask"):
+            CodegenOptions(backend="cpu", mask_memory="global").validate()
+
+    def test_mask_without_coefficients_rejected(self):
+        # a zero-filled array would convolve with zeros; the simulator
+        # refuses the same kernel
+        src, dst = build_image_pair(16, 16)
+        k = MaskConvolution(IterationSpace(dst),
+                            accessor_for(src, 3, Boundary.CLAMP),
+                            Mask(3, 3), 1, 1)
+        ir = typecheck_kernel(parse_kernel(k))
+        with pytest.raises(CodegenError, match="cmask.*no coefficients"):
+            generate(ir, CodegenOptions(backend="cpu"),
+                     launch_geometry=(16, 16))
 
     def test_unknown_backend_still_rejected(self):
         with pytest.raises(CodegenError):

@@ -19,6 +19,7 @@ from repro import (
     BoundaryCondition,
     Image,
     IterationSpace,
+    Mask,
     PipelineGraph,
     compile_kernel,
 )
@@ -33,6 +34,7 @@ from .helpers import (
     BranchKernel,
     ConvolveSyntax,
     IntArithmetic,
+    IntMaskConvolution,
     MaskConvolution,
     accessor_for,
     assert_native_matches_sim,
@@ -159,20 +161,45 @@ class TestNativeVsSimulator:
         np.testing.assert_allclose(out, data + np.float32(2.5),
                                    rtol=1e-6)
 
-    def test_interpolated_accessor_native(self):
+    def test_int32_mask_is_exact(self):
+        # int32 pixels past 2^24 and an int32 mask: the products and
+        # sums are exact integers, which a float-typed mask rounds
+        rng = np.random.default_rng(13)
+        data = rng.integers(2 ** 24, 2 ** 25, (16, 16), dtype=np.int32)
+        coeffs = np.array([[1, 1, 1], [1, 3, 1], [1, 1, 1]], np.int32)
+
+        def build():
+            src, dst = build_image_pair(16, 16, data=data,
+                                        pixel_type="int")
+            mask = Mask(3, 3, pixel_type="int").set(coeffs)
+            return IntMaskConvolution(
+                IterationSpace(dst), accessor_for(src, 3, Boundary.CLAMP),
+                mask, 1, 1), dst
+
+        out = _native_one_node(build)
+        padded = np.pad(data.astype(np.int64), 1, mode="edge")
+        ref = sum(int(coeffs[dy, dx]) * padded[dy:dy + 16, dx:dx + 16]
+                  for dy in range(3) for dx in range(3))
+        np.testing.assert_array_equal(out, ref)
+
+    @pytest.mark.parametrize("interpolation", ["nearest", "linear"])
+    @pytest.mark.parametrize("mode", MODES)
+    def test_interpolated_accessor_native(self, mode, interpolation):
         # floorf resampling drifts by ULPs: the gate keeps interpolated
         # accessors on the simulator, so the C is checked to tolerance
-        from repro.dsl.interpolate import InterpolatedAccessor, resize
+        # against the accessor's own sampling
+        from repro.dsl.interpolate import InterpolatedAccessor
         from .helpers import CopyKernel
 
         data = random_image(10, 8, seed=8)
         img_in = Image(10, 8).set_data(data)
         img_out = Image(25, 19)
-        bc = BoundaryCondition(img_in, 3, 3, Boundary.CLAMP)
-        acc = InterpolatedAccessor(bc, 25, 19, "linear")
+        bc = BoundaryCondition(img_in, 3, 3, mode, constant=0.25)
+        acc = InterpolatedAccessor(bc, 25, 19, interpolation)
         k = CopyKernel(IterationSpace(img_out), acc)
         native = _compiled_c(k, 25, 19)
-        ref = resize(data, 25, 19, "linear", Boundary.CLAMP)
+        oy, ox = np.mgrid[0:19, 0:25]
+        ref = np.asarray(acc.sample(ox, oy), dtype=np.float32)
         np.testing.assert_allclose(native, ref, atol=2e-6)
 
     def test_gaussian_against_golden(self):

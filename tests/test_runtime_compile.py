@@ -63,6 +63,14 @@ class TestCompile:
         with pytest.raises(DslError):
             compile_kernel(k, backend="cuda", device="hd5870")
 
+    def test_backend_without_device_names_the_default_device(self):
+        # no device supports the CPU backend: without one, the default
+        # device rejects it as a named device does
+        k, _, _ = _kernel()
+        with pytest.raises(DslError, match="Tesla C2050 does not support "
+                                           "the cpu backend"):
+            compile_kernel(k, backend="cpu")
+
     def test_non_kernel_rejected(self):
         with pytest.raises(DslError):
             compile_kernel("nope")
