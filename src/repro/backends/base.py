@@ -42,7 +42,7 @@ from ..ir.nodes import (
     VarDecl,
     VarRef,
 )
-from ..types import BOOL, DOUBLE, FLOAT, ScalarType
+from ..types import BOOL, DOUBLE, FLOAT, INT, UINT, ScalarType
 
 
 class MaskMemory(enum.Enum):
@@ -191,6 +191,22 @@ def c_float_literal(value: float, t: Optional[ScalarType]) -> str:
     if t is None or t == FLOAT:
         return text + "f"
     return text
+
+
+def c_literal(value: float, t: ScalarType) -> str:
+    """A C literal for *value* held as type *t*.
+
+    An integer type gets the integer the simulator holds (*value*
+    converted to ``t``'s NumPy type), ``u``-suffixed for ``uint``, so
+    the expression it sits in stays integer; a float literal there
+    would round a 32-bit value past 2^24.  Float types keep
+    :func:`c_float_literal`'s spelling."""
+    if t.is_float:
+        return c_float_literal(value, t)
+    v = int(t.np_dtype.type(value))
+    if t == INT and v == -2 ** 31:
+        return "(-2147483647 - 1)"    # 2147483648 alone is not an int
+    return f"{v}u" if t == UINT else str(v)
 
 
 def c_type_name(t: ScalarType, backend: str) -> str:

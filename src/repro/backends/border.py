@@ -31,7 +31,7 @@ import numpy as np
 
 from ..dsl.boundary import Boundary
 from ..ir.nodes import AccessorInfo, MaskInfo
-from .base import c_float_literal
+from .base import c_literal
 
 
 class Side(enum.Enum):
@@ -307,9 +307,7 @@ def bounded_read(acc: AccessorInfo, load: Load, ix: str, iy: str,
                 adjust_index(iy, side_y, Boundary.CLAMP, height))
     if not parts:
         return read
-    const = c_float_literal(acc.boundary_constant,
-                            acc.pixel_type if acc.pixel_type.is_float
-                            else None)
+    const = c_literal(acc.boundary_constant, acc.pixel_type)
     return f"(({' || '.join(parts)}) ? {const} : {read})"
 
 
@@ -332,8 +330,7 @@ def mask_declaration(mask: MaskInfo, qualifier: str, type_name: str,
             f"[{mask.size[0] * mask.size[1]}]")
     if not initialise:
         return head + ";"
-    t = mask.pixel_type if mask.pixel_type.is_float else None
-    values = ", ".join(c_float_literal(float(v), t)
+    values = ", ".join(c_literal(v, mask.pixel_type)
                        for v in np.asarray(mask.coefficients).reshape(-1))
     return f"{head} = {{ {values} }};"
 

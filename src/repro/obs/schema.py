@@ -49,8 +49,9 @@ TIMING_KEYS = STAGE_KEYS + ("total_ms",)
 NATIVE_SPANS = ("native.compile", "native.exec")
 
 #: Span names the serve tier emits (:mod:`repro.serve`):
-#: ``serve.request`` wraps one HTTP request in its handler thread
-#: (attrs: ``path``, ``http_status``, ``fingerprint``); ``serve.plan``
+#: ``serve.request`` wraps one HTTP ``POST`` in its handler thread, from
+#: the body read to the last response byte (attrs: ``path``,
+#: ``http_status``, ``request_id``, ``fingerprint``); ``serve.plan``
 #: and ``serve.exec`` wrap planning and execution of one deduplicated
 #: request group in a worker thread (attrs: ``fingerprint``,
 #: ``group``).  The worker spans are deliberately top-level rather than

@@ -65,7 +65,7 @@ from typing import Dict, List, Optional, Tuple
 
 from .. import __version__
 from ..atomic import replacing, write_atomic
-from ..backends.base import CodegenOptions, c_float_literal
+from ..backends.base import CodegenOptions, c_literal
 from ..backends.cpu import CpuBackend, CpuKernelUnit, cpu_common_preamble
 from ..cache.key import canonical_ir
 from ..cache.store import CompilationCache
@@ -94,7 +94,7 @@ from .native import compiler_signature, find_c_compiler, native_workdir
 #: changes — stored entries with another format are ignored.  Any change
 #: to C emission needs this bump: graph_fingerprint hashes IR and
 #: pointer-table slots, not the emitted source.
-NATIVE_GRAPH_FORMAT = 7
+NATIVE_GRAPH_FORMAT = 8
 
 #: the one compile command's flags (``cc <flags> tu.c -o tu.so -lm``),
 #: folded into :func:`graph_fingerprint` together with the target ISA
@@ -416,10 +416,7 @@ def _call_line(lw: NodeLowering, slots: Dict[int, int]) -> str:
              str(space.offset_x), str(space.offset_y)]
     for p in ir.params:
         if not p.baked:
-            if p.type.is_float:
-                args.append(c_float_literal(float(p.value), p.type))
-            else:
-                args.append(str(int(p.value)))
+            args.append(c_literal(p.value, p.type))
     return f"    {lw.unit.entry}({', '.join(args)});"
 
 

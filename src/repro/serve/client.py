@@ -26,7 +26,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from .protocol import decode_image, encode_image
+from .protocol import decode_image, dump_json, encode_image
 
 
 class ServeError(RuntimeError):
@@ -117,7 +117,7 @@ class ServeClient:
         payload = None
         headers: Dict[str, str] = {}
         if body is not None:
-            payload = json.dumps(body).encode()
+            payload = dump_json(body)
             headers["Content-Type"] = "application/json"
         conn = self._conn()
         try:

@@ -40,7 +40,7 @@ from urllib.parse import parse_qs, urlsplit
 from ..obs import get_registry, span
 from ..obs.prom import CONTENT_TYPE as PROM_CONTENT_TYPE
 from ..obs.prom import render_prometheus
-from .protocol import PROTOCOL_VERSION, error_response
+from .protocol import PROTOCOL_VERSION, dump_json, error_response
 from .service import ServeConfig, ServeService
 
 #: refuse request bodies above this size before reading them fully;
@@ -79,7 +79,7 @@ class _Handler(BaseHTTPRequestHandler):
 
     def _send_json(self, status: int, doc: Dict[str, Any],
                    headers: Optional[Dict[str, str]] = None) -> None:
-        payload = json.dumps(doc).encode()
+        payload = dump_json(doc)
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(payload)))
@@ -129,42 +129,41 @@ class _Handler(BaseHTTPRequestHandler):
                 "not_found", f"no such endpoint {self.path!r}"))
 
     def do_POST(self) -> None:         # noqa: N802 - stdlib casing
+        # the span runs from the body read to the last response byte
+        with span("serve.request", path=self.path) as req_span:
+            status, doc = self._execute()
+            req_span.attrs["http_status"] = status
+            headers = self._retry_headers(doc)
+            if isinstance(doc.get("request_id"), str):
+                req_span.attrs["request_id"] = doc["request_id"]
+                headers["X-Request-Id"] = doc["request_id"]
+            meta = doc.get("meta")
+            if isinstance(meta, dict) and "fingerprint" in meta:
+                req_span.attrs["fingerprint"] = meta["fingerprint"][:16]
+            self._send_json(status, doc, headers=headers)
+
+    def _execute(self) -> Tuple[int, Dict[str, Any]]:
+        """Read and answer one ``POST``: ``(http status, document)``."""
         if self.path != "/v1/execute":
-            self._send_json(404, error_response(
-                "not_found", f"no such endpoint {self.path!r}"))
-            return
+            return 404, error_response(
+                "not_found", f"no such endpoint {self.path!r}")
         try:
             length = int(self.headers.get("Content-Length", "0"))
         except ValueError:
             length = -1
         if length <= 0:
-            self._send_json(411, error_response(
-                "length_required", "Content-Length required"))
-            return
+            return 411, error_response(
+                "length_required", "Content-Length required")
         if length > MAX_BODY_BYTES:
-            self._send_json(413, error_response(
-                "too_large",
-                f"body exceeds {MAX_BODY_BYTES} bytes"))
-            return
+            return 413, error_response(
+                "too_large", f"body exceeds {MAX_BODY_BYTES} bytes")
         raw = self.rfile.read(length)
         try:
             body = json.loads(raw)
         except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            self._send_json(400, error_response(
-                "bad_json", f"request body is not JSON: {exc}"))
-            return
-        with span("serve.request", path=self.path) as req_span:
-            status, doc = self.service.handle(body)
-            req_span.attrs["http_status"] = status
-            if isinstance(doc.get("request_id"), str):
-                req_span.attrs["request_id"] = doc["request_id"]
-            meta = doc.get("meta")
-            if isinstance(meta, dict) and "fingerprint" in meta:
-                req_span.attrs["fingerprint"] = meta["fingerprint"][:16]
-        headers = self._retry_headers(doc)
-        if isinstance(doc.get("request_id"), str):
-            headers["X-Request-Id"] = doc["request_id"]
-        self._send_json(status, doc, headers=headers)
+            return 400, error_response(
+                "bad_json", f"request body is not JSON: {exc}")
+        return self.service.handle(body)
 
 
 def create_server(host: str = "127.0.0.1", port: int = 0,

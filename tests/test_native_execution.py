@@ -182,6 +182,43 @@ class TestNativeVsSimulator:
                   for dy in range(3) for dx in range(3))
         np.testing.assert_array_equal(out, ref)
 
+    def test_int32_constant_border_is_exact(self):
+        # the border literal of an int32 accessor must be an integer: a
+        # float one makes every guarded read a float expression, which
+        # rounds a pixel past 2^24
+        rng = np.random.default_rng(13)
+        data = rng.integers(2 ** 24, 2 ** 25, (16, 16), dtype=np.int32)
+        coeffs = np.array([[1, 1, 1], [1, 3, 1], [1, 1, 1]], np.int32)
+
+        def build():
+            src, dst = build_image_pair(16, 16, data=data,
+                                        pixel_type="int")
+            mask = Mask(3, 3, pixel_type="int").set(coeffs)
+            return IntMaskConvolution(
+                IterationSpace(dst),
+                accessor_for(src, 3, Boundary.CONSTANT), mask, 1, 1), dst
+
+        out = _native_one_node(build)
+        padded = np.pad(data.astype(np.int64), 1)
+        ref = sum(int(coeffs[dy, dx]) * padded[dy:dy + 16, dx:dx + 16]
+                  for dy in range(3) for dx in range(3))
+        np.testing.assert_array_equal(out, ref)
+
+    def test_int32_mask_coefficients_are_exact(self):
+        # a coefficient past 2^24 printed as a float literal rounds
+        coeffs = np.full((3, 3), 2 ** 24 + 1, np.int32)
+
+        def build():
+            src, dst = build_image_pair(
+                8, 8, data=np.ones((8, 8), np.int32), pixel_type="int")
+            mask = Mask(3, 3, pixel_type="int").set(coeffs)
+            return IntMaskConvolution(
+                IterationSpace(dst), accessor_for(src, 3, Boundary.CLAMP),
+                mask, 1, 1), dst
+
+        out = _native_one_node(build)
+        np.testing.assert_array_equal(out, np.full((8, 8), 9 * (2 ** 24 + 1)))
+
     @pytest.mark.parametrize("interpolation", ["nearest", "linear"])
     @pytest.mark.parametrize("mode", MODES)
     def test_interpolated_accessor_native(self, mode, interpolation):

@@ -44,6 +44,7 @@ from repro.serve import (
     plan_request,
     request_fingerprint,
 )
+from repro.serve.protocol import dump_json, error_response
 from repro.serve.server import create_server
 
 
@@ -100,6 +101,18 @@ def _wait_for(service, key, value):
     return service.metrics()[key]
 
 
+def _request_spans(tracer):
+    """The finished ``serve.request`` spans, waiting up to 5 s for one:
+    the span closes after the last response byte is written, so the
+    client may hold its answer before the handler records the span."""
+    deadline = time.monotonic() + 5.0
+    while True:
+        spans = [s for s in tracer.spans() if s.name == "serve.request"]
+        if spans or time.monotonic() >= deadline:
+            return spans
+        time.sleep(0.01)
+
+
 def _edge(frame, **extra):
     return dict({"pipeline": "edge", "image": encode_image(frame),
                  "engine": "sim"}, **extra)
@@ -152,6 +165,55 @@ class TestProtocol:
                 == request_fingerprint(dict(body, engine="sim"))[0])
         assert (request_fingerprint(body, default_engine="sim")[0]
                 != request_fingerprint(explicit)[0])
+
+
+class TestDumpJson:
+    """``dump_json`` splices an ``encode_image`` payload in as bytes;
+    the output must be what ``json.dumps(doc).encode()`` writes."""
+
+    @pytest.mark.parametrize("array", [
+        np.full((1, 1), 0.5, np.float32),
+        np.arange(15, dtype=np.uint8).reshape(3, 5),   # base64 padding
+        np.random.default_rng(3).random((256, 256), dtype=np.float32),
+    ], ids=["1x1", "3x5-uint8", "256-float32"])
+    def test_ok_doc_is_json_dumps(self, array):
+        doc = {"status": "ok", "image": encode_image(array),
+               "meta": {"fingerprint": "ab" * 32, "launches": 3,
+                        "note": 'q"\\\x7f\u00e9'},
+               "request_id": "0123456789abcdef"}
+        assert dump_json(doc) == json.dumps(doc).encode()
+        assert np.array_equal(
+            decode_image(json.loads(dump_json(doc))["image"]), array)
+
+    def test_payload_anywhere_in_its_dicts(self, frame):
+        image = encode_image(frame)
+        for doc in ({"image": image},
+                    {"image": {"data_b64": image["data_b64"]}},
+                    {"a": [1.5, None], "image": dict(image, extra={}),
+                     "z": {}}):
+            assert dump_json(doc) == json.dumps(doc).encode()
+
+    def test_error_docs_are_json_dumps(self):
+        for doc in (error_response("bad_json", 'not "JSON" \\ here'),
+                    error_response("shed", "busy", retry_after=1.0,
+                                   request_id="0" * 16),
+                    {"status": "ok", "uptime_s": 1.25}):
+            assert dump_json(doc) == json.dumps(doc).encode()
+
+    def test_hand_built_payload_takes_the_encoder(self):
+        # only encode_image's own output is trusted: a plain str payload
+        # holding characters JSON escapes goes through json.dumps
+        doc = {"status": "ok",
+               "image": {"dtype": "uint8", "shape": [1, 3],
+                         "data_b64": 'a"b\\c\x7f'}}
+        out = dump_json(doc)
+        assert out == json.dumps(doc).encode()
+        assert json.loads(out) == doc
+
+    def test_encoded_payload_is_a_str(self, frame):
+        payload = encode_image(frame)["data_b64"]
+        assert isinstance(payload, str)
+        assert json.loads(json.dumps(payload)) == payload
 
 
 # --------------------------------------------------------------------------
@@ -227,6 +289,62 @@ class TestHTTP:
         conn.close()
         assert response.status == 400
         assert doc["error"] == "bad_json"
+
+    def test_identity_chain_round_trips_exact_pixels(self, http_serve,
+                                                       monkeypatch):
+        client, _ = http_serve
+        sent = []
+        roundtrip = client._roundtrip
+
+        def recording(conn, method, path, payload, headers):
+            response, raw = roundtrip(conn, method, path, payload, headers)
+            sent.append((payload, raw))
+            return response, raw
+
+        monkeypatch.setattr(client, "_roundtrip", recording)
+        pixels = np.random.default_rng(5).random((256, 256),
+                                                 dtype=np.float32)
+        result = client.execute(pixels, chain=[{"op": "scale",
+                                                "factor": 1.0}])
+        assert result.image.dtype == pixels.dtype
+        assert np.array_equal(result.image, pixels)
+        # both bodies on the wire are what json.dumps writes
+        (payload, raw), = sent
+        assert payload == json.dumps(json.loads(payload)).encode()
+        assert raw == json.dumps(json.loads(raw)).encode()
+
+    def test_request_span_covers_the_response_write(self, http_serve,
+                                                    monkeypatch):
+        from repro.obs import tracing
+        from repro.serve import server as server_mod
+
+        client, _ = http_serve
+        returned = []
+        setup = server_mod._Handler.setup
+
+        def timed_setup(handler):
+            setup(handler)
+            write = handler.wfile.write
+
+            def timed_write(data):
+                n = write(data)
+                returned.append(tracer.now_us())
+                return n
+
+            handler.wfile.write = timed_write
+
+        monkeypatch.setattr(server_mod._Handler, "setup", timed_setup)
+        pixels = np.random.default_rng(6).random((256, 256),
+                                                 dtype=np.float32)
+        # a new connection, so its handler is set up with the wrapper
+        fresh = ServeClient(client.host, client.port, timeout=30.0)
+        with tracing() as tracer:
+            fresh.execute(pixels, pipeline="edge", engine="sim")
+            spans = _request_spans(tracer)
+        fresh.close()
+        assert len(spans) == 1
+        assert spans[0].attrs["http_status"] == 200
+        assert returned and spans[0].end_us >= returned[-1]
 
     def test_unknown_endpoint_is_404(self, http_serve):
         client, _ = http_serve
@@ -591,15 +709,12 @@ class TestObservability:
         assert completed["http_status"] == 200
         assert completed["request_ms"] > 0
 
-        by_name = {}
-        for span in tracer.spans():
-            by_name.setdefault(span.name, []).append(span)
-        req_spans = [s for s in by_name.get("serve.request", [])
+        req_spans = [s for s in _request_spans(tracer)
                      if s.attrs.get("request_id") == rid]
         assert len(req_spans) == 1
         # the worker spans carry the lead waiter's id
         assert any(s.attrs.get("request_id") == rid
-                   for s in by_name.get("serve.exec", []))
+                   for s in tracer.spans() if s.name == "serve.exec")
 
     def test_request_id_header_and_uniqueness(self, http_serve, frame):
         import http.client as http_client
